@@ -1,12 +1,12 @@
 """Workbench for the combinatorics of random And/Or Boolean formulas."""
 
-from .boolfun import BoolFunc, InputError, Literal
-from .errors import DomainError, NumericError, ResourceCapError
+from .boolfun import BoolFunc, Literal
+from .errors import (DomainError, InputError, NumericError, ResourceCapError,
+                     StructureError)
 from .trees import (
     AND,
     OR,
     ModelId,
-    StructureError,
     Tree,
     canonicalize,
     compute_function,

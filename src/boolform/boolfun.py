@@ -12,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-
-class InputError(ValueError):
-    """Malformed argument (wrong length, bad serialization, ...)."""
+from .errors import InputError
 
 
 @dataclass(frozen=True, order=True)

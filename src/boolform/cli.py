@@ -10,13 +10,12 @@ import sys
 
 import mpmath as mp
 
-from .boolfun import BoolFunc, InputError
-from .errors import DomainError, NumericError, ResourceCapError
-from .trees import ModelId, StructureError
+from .boolfun import BoolFunc
+from .errors import (DomainError, InputError, NumericError, ResourceCapError,
+                     StructureError)
+from .trees import ModelId
 from . import exhaustive, patterns, series, singular
-from .complexity import (complexity as _complexity,
-                         enumerate_expansions as _enumerate_expansions,
-                         probability_vs_bounds as _probability_vs_bounds)
+from .complexity import probability_vs_bounds as _probability_vs_bounds
 
 SCHEMA = "boolform/v1"
 
@@ -149,24 +148,23 @@ def _cmd_verify_lemmas(args) -> None:
 def _cmd_complexity(args) -> None:
     model = _model(args.model)
     f = BoolFunc.from_string(args.fn)
-    ts = _complexity(f, model)
-    if ts.L == 0:
+    if f.is_constant():
         _emit(args, {"command": "complexity", "model": model.value,
                      "fn": args.fn, "L": 0, "M": 0},
               "L: 0 (constant function)")
         return
-    tally = _enumerate_expansions(ts)
+    # one search and one tally: the report carries L, M and both lambdas
     report = _probability_vs_bounds(f, model, n_grid=(args.estimate_n,))
     payload = {
         "command": "complexity", "model": model.value, "fn": args.fn,
-        "L": ts.L, "M": ts.M,
-        "lambda_T": tally.lambda_T, "lambda_X": tally.lambda_X,
+        **{k: report[k] for k in ("L", "M", "lambda_T", "lambda_X")},
         "bounds": report["bounds"], "estimate": report["grid"][-1]["estimate"],
         "estimate_n": args.estimate_n,
     }
     text = "\n".join([
-        "L: %d" % ts.L, "M: %d" % ts.M,
-        "lambda_T: %d" % tally.lambda_T, "lambda_X: %d" % tally.lambda_X,
+        "L: %d" % report["L"], "M: %d" % report["M"],
+        "lambda_T: %d" % report["lambda_T"],
+        "lambda_X: %d" % report["lambda_X"],
         "bounds: [%.10g, %.10g]%s" % (
             report["bounds"]["lower"], report["bounds"]["upper"],
             " (stated for L>1 only)" if report["bounds"]["restricted"] else ""),

@@ -250,9 +250,13 @@ def lambda_bounds(f: BoolFunc, model: ModelId) -> Bounds:
     The formulas are the published ones.  The `comm` pair collapses at
     L = 1 (M = 1) to 1153/4096, the published literal constant, which
     contradicts the derived limit 5/16 (tests/test_comm_limits.py).  So
-    `probability_vs_bounds(x1, comm)` reports `within_bounds: False`.
+    `probability_vs_bounds(x1, comm)` reports `within_bounds: False` and
+    says why in `reason`.
     """
-    L, M = _lm(f, model)
+    return _bounds_formula(model, *_lm(f, model))
+
+
+def _bounds_formula(model: ModelId, L: int, M: int) -> Bounds:
     if model is ModelId.CATALAN:
         ell = (L + 1) // 2 if L > 1 else 0
         return Bounds((8 * L - 3 + ell) * M / 16.0 ** L,
@@ -305,6 +309,21 @@ def _tol(bounds: Bounds) -> float:
     return 1e-3 * max(abs(bounds.lower), abs(bounds.upper), 1e-6)
 
 
+def _violation(limit: float, bounds: Bounds, model: ModelId, L: int) -> str:
+    """Which bound the limit misses, and by how much."""
+    if limit < bounds.lower:
+        reason = "limit %.6g is below the lower bound %.6g by %.3g" % (
+            limit, bounds.lower, bounds.lower - limit)
+    else:
+        reason = "limit %.6g is above the upper bound %.6g by %.3g" % (
+            limit, bounds.upper, limit - bounds.upper)
+    if model is ModelId.COMM and L == 1:
+        reason += ("; the published comm bounds collapse at L = 1 to "
+                   "1153/4096, which the derived limit 5/16 contradicts "
+                   "(tests/test_comm_limits.py)")
+    return reason
+
+
 def probability_vs_bounds(f: BoolFunc, model: ModelId,
                           n_grid: Sequence[int] = (100, 200, 400)) -> dict:
     """Expansion-formula estimate of lambda_f against the closed bounds.
@@ -313,11 +332,12 @@ def probability_vs_bounds(f: BoolFunc, model: ModelId,
     with the tallied expansion counts and the limiting ratios w1, w2 of
     simple tautologies and fixed-literal trees.  With two or more grid
     points the n -> infinity value is read off a least-squares a + b/n
-    fit, and that limit is what the bound check uses.
+    fit, and that limit is what the bound check uses.  When the limit
+    falls outside the bounds, `reason` names the missed bound and the gap.
     """
     ts = complexity(f, model)
     tally = enumerate_expansions(ts)
-    bounds = lambda_bounds(f, model)
+    bounds = _bounds_formula(model, ts.L, ts.M)
     rows = []
     for n in n_grid:
         rho = float(singular.dominant_singularity(model, n).rho)
@@ -333,6 +353,9 @@ def probability_vs_bounds(f: BoolFunc, model: ModelId,
         limit = float(np.linalg.lstsq(design, ys, rcond=None)[0][0])
     else:
         limit = rows[-1]["estimate"]
+    # slack covers the residual O(1/n^2) error of the two-term fit
+    within = (None if bounds.restricted else
+              bounds.lower - _tol(bounds) <= limit <= bounds.upper + _tol(bounds))
     return {
         "f": f.to_string(),
         "model": model.value,
@@ -344,8 +367,7 @@ def probability_vs_bounds(f: BoolFunc, model: ModelId,
                    "restricted": bounds.restricted},
         "grid": rows,
         "limit": limit,
-        # slack covers the residual O(1/n^2) error of the two-term fit
-        "within_bounds": (bounds.lower - _tol(bounds) <= limit
-                          <= bounds.upper + _tol(bounds)
-                          if not bounds.restricted else None),
+        "within_bounds": within,
+        "reason": (_violation(limit, bounds, model, ts.L)
+                   if within is False else None),
     }

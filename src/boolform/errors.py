@@ -1,6 +1,14 @@
 """Shared error types."""
 
 
+class InputError(ValueError):
+    """Malformed argument (wrong length, bad serialization, ...)."""
+
+
+class StructureError(ValueError):
+    """Arity or stratification violation."""
+
+
 class ResourceCapError(RuntimeError):
     """A configured resource cap (tree count, ordering count, ...) was hit."""
 

@@ -14,10 +14,9 @@ by a fixed variable (see classifier_counts).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Sequence
 
 from .boolfun import BoolFunc, Literal
 from .errors import DomainError, ResourceCapError
@@ -139,100 +138,99 @@ def _literals(n: int) -> list[Literal]:
     return out
 
 
-def _gen_catalan(m: int, n: int) -> Iterator[Tree]:
+# The generators take the leaf alphabet and a builder node(conn, kids), so one
+# recursion yields both labelled trees (generate_trees) and the unlabelled
+# connective shapes of patterns.verify_pattern_lemmas (one-symbol alphabet).
+Node = Callable[[str, Sequence], object]
+
+
+def _gen_catalan(m: int, leaves: Sequence, node: Node) -> Iterator:
     if m == 1:
-        for lit in _literals(n):
-            yield Tree.leaf(lit, ModelId.CATALAN)
+        yield from leaves
         return
     for conn in (AND, OR):
         for i in range(1, m):
-            for left in _gen_catalan(i, n):
-                for right in _gen_catalan(m - i, n):
-                    yield Tree.internal(conn, (left, right), ModelId.CATALAN)
+            for left in _gen_catalan(i, leaves, node):
+                for right in _gen_catalan(m - i, leaves, node):
+                    yield node(conn, (left, right))
 
 
-def _gen_assoc_class(m: int, n: int, conn: str) -> Iterator[Tree]:
+def _gen_assoc_class(m: int, leaves: Sequence, node: Node, conn: str) -> Iterator:
     # trees usable as a child of an opposite(conn)-node: leaf or conn-rooted
     if m == 1:
-        for lit in _literals(n):
-            yield Tree.leaf(lit, ModelId.ASSOC)
+        yield from leaves
         return
 
-    def parts(remaining: int, acc: list[Tree]) -> Iterator[Tree]:
+    def parts(remaining: int, acc: list) -> Iterator:
         # first child must leave room for at least one more
         top = remaining if acc else remaining - 1
         for size in range(1, top + 1):
-            for child in _gen_assoc_class(size, n, opposite(conn)):
+            for child in _gen_assoc_class(size, leaves, node, opposite(conn)):
                 if size == remaining:
-                    yield Tree.internal(conn, acc + [child], ModelId.ASSOC)
+                    yield node(conn, acc + [child])
                 else:
                     yield from parts(remaining - size, acc + [child])
 
     yield from parts(m, [])
 
 
-def _gen_assoc(m: int, n: int) -> Iterator[Tree]:
+def _gen_assoc(m: int, leaves: Sequence, node: Node) -> Iterator:
     if m == 1:
-        yield from _gen_assoc_class(1, n, AND)
+        yield from leaves
         return
     for conn in (AND, OR):
-        for t in _gen_assoc_class(m, n, conn):
-            if not t.is_leaf():
-                yield t
+        yield from _gen_assoc_class(m, leaves, node, conn)
 
 
-def _gen_comm(m: int, n: int) -> Iterator[Tree]:
+def _gen_comm(m: int, leaves: Sequence, node: Node) -> Iterator:
     if m == 1:
-        for lit in _literals(n):
-            yield Tree.leaf(lit, ModelId.COMM)
+        yield from leaves
         return
     for conn in (AND, OR):
         for i in range(1, m // 2 + 1):
             j = m - i
             if i < j:
-                for left in _gen_comm(i, n):
-                    for right in _gen_comm(j, n):
-                        yield Tree.internal(conn, (left, right), ModelId.COMM)
+                for left in _gen_comm(i, leaves, node):
+                    for right in _gen_comm(j, leaves, node):
+                        yield node(conn, (left, right))
             else:
                 # unordered pair from equal sizes: stream by index
-                for idx1, left in enumerate(_gen_comm(i, n)):
-                    for idx2, right in enumerate(_gen_comm(i, n)):
+                for idx1, left in enumerate(_gen_comm(i, leaves, node)):
+                    for idx2, right in enumerate(_gen_comm(i, leaves, node)):
                         if idx2 >= idx1:
-                            yield Tree.internal(conn, (left, right), ModelId.COMM)
+                            yield node(conn, (left, right))
 
 
-def _gen_ac_class(m: int, n: int, conn: str) -> Iterator[Tree]:
+def _gen_ac_class(m: int, leaves: Sequence, node: Node, conn: str) -> Iterator:
     if m == 1:
-        for lit in _literals(n):
-            yield Tree.leaf(lit, ModelId.ASSOC_COMM)
+        yield from leaves
         return
 
     # children: multiset of >= 2 leaf-or-opposite-rooted trees, enumerated as
     # non-decreasing (size, index) sequences for uniqueness
-    def rec(remaining: int, min_size: int, min_idx: int, acc: list[Tree]) -> Iterator[Tree]:
+    def rec(remaining: int, min_size: int, min_idx: int, acc: list) -> Iterator:
         # first child must leave room for at least one more
         top = remaining if acc else remaining - 1
         for size in range(min_size, top + 1):
             start = min_idx if size == min_size else 0
-            for idx, child in enumerate(_gen_ac_class(size, n, opposite(conn))):
+            for idx, child in enumerate(_gen_ac_class(size, leaves, node,
+                                                      opposite(conn))):
                 if idx < start:
                     continue
                 if size == remaining:
-                    yield Tree.internal(conn, acc + [child], ModelId.ASSOC_COMM)
+                    yield node(conn, acc + [child])
                 else:
                     yield from rec(remaining - size, size, idx, acc + [child])
 
     yield from rec(m, 1, 0, [])
 
 
-def _gen_assoccomm(m: int, n: int) -> Iterator[Tree]:
+def _gen_assoccomm(m: int, leaves: Sequence, node: Node) -> Iterator:
     if m == 1:
-        yield from _gen_ac_class(1, n, AND)
+        yield from leaves
         return
     for conn in (AND, OR):
-        for t in _gen_ac_class(m, n, conn):
-            if not t.is_leaf():
-                yield t
+        yield from _gen_ac_class(m, leaves, node, conn)
 
 
 _GENERATORS = {
@@ -250,7 +248,9 @@ def generate_trees(model: ModelId, m: int, n: int,
     if total > cap:
         raise ResourceCapError(
             "generation of %d trees exceeds cap %d" % (total, cap))
-    return _GENERATORS[model](m, n)
+    leaves = [Tree.leaf(lit, model) for lit in _literals(n)]
+    return _GENERATORS[model](
+        m, leaves, lambda conn, kids: Tree.internal(conn, kids, model))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +341,7 @@ def _dp_comm(m: int, n: int, leaf_value, f_and: Combine, f_or: Combine) -> list[
             for a_i, g in enumerate(keys):
                 for h in keys[a_i:]:
                     if g == h:
-                        ways = _pairs_unordered(half[g]) if False else comb(half[g] + 1, 2)
+                        ways = _pairs_unordered(half[g])
                     else:
                         ways = half[g] * half[h]
                     for f in (f_and, f_or):

@@ -10,8 +10,9 @@ Counting conventions: a tree with l pattern leaves has
                  tree that appear at least once on its pattern leaves).
 
 verify_pattern_lemmas checks the three structural facts used throughout
-the asymptotic analysis, by exhausting connective-labelled shapes and
-vectorizing over all leaf labellings with numpy.
+the asymptotic analysis, by exhausting connective-labelled shapes (the
+tree generators of boolform.exhaustive run over a one-symbol leaf
+alphabet) and vectorizing over all leaf labellings with numpy.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from math import comb
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
-from .boolfun import BoolFunc, Literal
+from .boolfun import Literal
 from .errors import DomainError, ResourceCapError
-from .trees import AND, OR, ModelId, Tree, compute_function, opposite
+from .exhaustive import _GENERATORS
+from .trees import AND, OR, ModelId, Tree, compute_function
 
 EMBEDDING_CAP = 1_000_000
 
@@ -130,7 +132,6 @@ def match_pattern(t: Tree, p: PatternId, depth: int = 1) -> PatternMatch:
 
 def _restrictions_of(t: Tree, leaves: frozenset, essential: set) -> tuple[int, int, set]:
     lits = []
-    node_cache = {(): t}
     for path in leaves:
         node = t
         for i in path:
@@ -232,89 +233,9 @@ def labelling_count(l: int, k: int, m: int, n: int, v: int,
 # vectorized lemma verification
 
 
-def _shapes(model: ModelId, m: int) -> tuple:
-    """Connective-labelled, leaf-unlabelled shapes; leaf = None."""
-    return _shapes_cached(model, m)
-
-
-@lru_cache(maxsize=None)
-def _shapes_cached(model: ModelId, m: int):
-    if m == 1:
-        return (None,)
-    out = []
-    if model is ModelId.CATALAN:
-        for conn in (AND, OR):
-            for i in range(1, m):
-                for a in _shapes_cached(model, i):
-                    for b in _shapes_cached(model, m - i):
-                        out.append((conn, (a, b)))
-    elif model is ModelId.COMM:
-        for conn in (AND, OR):
-            for i in range(1, m // 2 + 1):
-                left = _shapes_cached(model, i)
-                right = _shapes_cached(model, m - i)
-                if i < m - i:
-                    for a in left:
-                        for b in right:
-                            out.append((conn, tuple(sorted((a, b), key=repr))))
-                else:
-                    for ai, a in enumerate(left):
-                        for b in left[ai:]:
-                            out.append((conn, (a, b)))
-    elif model is ModelId.ASSOC:
-        for conn in (AND, OR):
-            for kids in _plane_seqs(model, m, conn):
-                out.append((conn, kids))
-    else:
-        for conn in (AND, OR):
-            for kids in _multiset_seqs(model, m, conn):
-                out.append((conn, kids))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _class_shapes(model: ModelId, m: int, conn: str):
-    """Leaf or conn-rooted shapes (children of an opposite(conn) node)."""
-    if m == 1:
-        return (None,)
-    return tuple(s for s in _shapes_cached(model, m) if s[0] == conn)
-
-
-@lru_cache(maxsize=None)
-def _plane_seqs(model: ModelId, m: int, conn: str):
-    out = []
-
-    def rec(remaining: int, acc: tuple):
-        top = remaining if acc else remaining - 1
-        for size in range(1, top + 1):
-            for child in _class_shapes(model, size, opposite(conn)):
-                if size == remaining:
-                    out.append(acc + (child,))
-                else:
-                    rec(remaining - size, acc + (child,))
-
-    rec(m, ())
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _multiset_seqs(model: ModelId, m: int, conn: str):
-    out = []
-
-    def rec(remaining: int, min_size: int, min_idx: int, acc: tuple):
-        top = remaining if acc else remaining - 1
-        for size in range(min_size, top + 1):
-            opts = _class_shapes(model, size, opposite(conn))
-            start = min_idx if size == min_size else 0
-            for idx in range(start, len(opts)):
-                child = opts[idx]
-                if size == remaining:
-                    out.append(acc + (child,))
-                else:
-                    rec(remaining - size, size, idx, acc + (child,))
-
-    rec(m, 1, 0, ())
-    return tuple(out)
+def _shape_node(conn: str, kids) -> tuple:
+    # an unlabelled shape is a canonical tree over a one-symbol leaf alphabet
+    return (conn, tuple(kids))
 
 
 def _shape_leaf_count(shape) -> int:
@@ -450,7 +371,7 @@ def verify_pattern_lemmas(model: ModelId, m: int, n: int) -> LemmaReport:
         leaf_tabs = [lit_table[d] for d in digits]
         var_bits = [np.left_shift(1, d >> 1) for d in digits]
         lit_bits = [np.left_shift(1, d) for d in digits]
-        for shape in _shapes(model, size):
+        for shape in _GENERATORS[model](size, (None,), _shape_node):
             root = _fold_tables(shape, leaf_tabs, [0])
             tauto = root == full
             report.trees_checked += count

@@ -15,7 +15,6 @@ convergence and converge geometrically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
@@ -202,29 +201,31 @@ def _eval_comm(n: int, order: int):
     return {"T": C, "dT": dC, "st": st, "dst": dst, "g": g, "dg": dg}
 
 
+def _tail_sum(z, fn):
+    # sum over l >= 2 of fn(l); terms shrink like z^l
+    acc = mp.mpf(0)
+    l = 2
+    while True:
+        acc += fn(l)
+        if abs(z) ** l < mp.eps * mp.mpf(2) ** -16 or l > 6000:
+            break
+        l += 1
+    return acc
+
+
+def _log_pi(ev_hat, z):
+    """Polya tail: log Pi(z) = sum over l >= 2 of hat(z^l)/l."""
+    return _tail_sum(z, lambda l: ev_hat(z ** l) / l)
+
+
 def _eval_assoccomm(n: int, order: int):
     n_ = mp.mpf(n)
     _, hat_series = solve_model_series(ModelId.ASSOC_COMM, n, order, with_half=True)
     ev_hat = _SeriesEval(hat_series)
     ev_dhat = _SeriesEval(hat_series.derivative())
 
-    def tail_sum(z, fn):
-        # sum over l >= 2 of fn(l); terms shrink like z^l
-        acc = mp.mpf(0)
-        l = 2
-        while True:
-            term = fn(l)
-            acc += term
-            if abs(z) ** l < mp.eps * mp.mpf(2) ** -16 or l > 6000:
-                break
-            l += 1
-        return acc
-
-    def log_pi(z):
-        return tail_sum(z, lambda l: ev_hat(z ** l) / l)
-
     def dlog_pi(z):
-        return tail_sum(z, lambda l: z ** (l - 1) * ev_dhat(z ** l))
+        return _tail_sum(z, lambda l: z ** (l - 1) * ev_dhat(z ** l))
 
     hat_cache: dict = {}
 
@@ -233,7 +234,7 @@ def _eval_assoccomm(n: int, order: int):
         # phi(y) = y - rhs is increasing up to the branch point e^y Pi = 2
         if z in hat_cache:
             return hat_cache[z]
-        pi = mp.exp(log_pi(z))
+        pi = mp.exp(_log_pi(ev_hat, z))
 
         def phi(y):
             return y - (mp.exp(y) * pi - 1 + 2 * n_ * z) / 2
@@ -255,7 +256,7 @@ def _eval_assoccomm(n: int, order: int):
 
     def dhat(z):
         y = hat(z)
-        e = mp.exp(y) * mp.exp(log_pi(z))
+        e = mp.exp(y) * mp.exp(_log_pi(ev_hat, z))
         return (n_ + e * dlog_pi(z) / 2) / (1 - e / 2)
 
     def T(z):
@@ -267,12 +268,12 @@ def _eval_assoccomm(n: int, order: int):
     def _w(z, shift: int):
         # sum over l >= 1 of (hat(z^l) - shift*z^l)/l, exact leading term
         acc = hat(z) - shift * z
-        acc += tail_sum(z, lambda l: (ev_hat(z ** l) - shift * z ** l) / l)
+        acc += _tail_sum(z, lambda l: (ev_hat(z ** l) - shift * z ** l) / l)
         return acc
 
     def _dw(z, shift: int):
         acc = dhat(z) - shift
-        acc += tail_sum(z, lambda l: z ** (l - 1) * (ev_dhat(z ** l) - shift))
+        acc += _tail_sum(z, lambda l: z ** (l - 1) * (ev_dhat(z ** l) - shift))
         return acc
 
     def g(z):
@@ -348,19 +349,8 @@ def _branch_condition(model: ModelId, n: int, order: int) -> Callable:
         return lambda z: 1 - 8 * n_ * z - 4 * ev_c(z * z)
     ev_hat = _SeriesEval(solve_model_series(ModelId.ASSOC_COMM, n, order,
                                             with_half=True)[1])
-
-    def log_pi(z):
-        acc = mp.mpf(0)
-        l = 2
-        while True:
-            acc += ev_hat(z ** l) / l
-            if abs(z) ** l < mp.eps * mp.mpf(2) ** -16 or l > 6000:
-                break
-            l += 1
-        return acc
-
     # branch point of y = (e^y Pi - 1 + 2nz)/2: e^y Pi = 2 with y = 1/2 + nz
-    return lambda z: 2 - mp.exp(mp.mpf(1) / 2 + n_ * z + log_pi(z))
+    return lambda z: 2 - mp.exp(mp.mpf(1) / 2 + n_ * z + _log_pi(ev_hat, z))
 
 
 def dominant_singularity(model: ModelId, n: int,

@@ -16,7 +16,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterator, Optional, Sequence, Union
 
-from .boolfun import BoolFunc, InputError, Literal
+from .boolfun import BoolFunc, Literal
+from .errors import InputError, StructureError
 
 AND = "and"
 OR = "or"
@@ -43,10 +44,6 @@ class ModelId(Enum):
     @property
     def stratified(self) -> bool:
         return not self.binary
-
-
-class StructureError(ValueError):
-    """Arity or stratification violation."""
 
 
 class Tree:

@@ -1,8 +1,12 @@
+import importlib
 import json
 
 import pytest
 
 from boolform.cli import run
+
+# the package re-exports the function complexity() under the module's name
+complexity_module = importlib.import_module("boolform.complexity")
 
 
 def _capture(capsys, argv):
@@ -54,7 +58,17 @@ def test_verify_lemmas_pass(capsys):
     assert "PASS" in out
 
 
-def test_complexity_output(capsys):
+def test_complexity_output(capsys, monkeypatch):
+    # one search and one expansion tally per command
+    calls = {"complexity": 0, "enumerate_expansions": 0}
+    for name in calls:
+        original = getattr(complexity_module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(complexity_module, name, counted)
     code, out, _ = _capture(capsys, ["complexity", "--model", "catalan",
                                      "--fn", "n:2:8", "--out", "json",
                                      "--estimate-n", "50"])
@@ -62,6 +76,7 @@ def test_complexity_output(capsys):
     payload = json.loads(out)
     assert payload["L"] == 2 and payload["M"] == 2
     assert payload["lambda_T"] == 24
+    assert calls == {"complexity": 1, "enumerate_expansions": 1}
 
 
 def test_usage_error_exit_code(capsys):

@@ -125,5 +125,14 @@ def test_catalan_and_bounds_frozen():
 def test_probability_vs_bounds_internal_consistency():
     rep = probability_vs_bounds(AND12, ModelId.CATALAN, n_grid=(100, 200))
     assert rep["within_bounds"] is True
+    assert rep["reason"] is None
     assert rep["L"] == 2 and rep["M"] == 2
     assert rep["grid"][0]["estimate"] > 0
+    # the comm literal's limit 5/16 exceeds the collapsed published bounds
+    rep = probability_vs_bounds(X1, ModelId.COMM, n_grid=(100,))
+    assert rep["within_bounds"] is False
+    assert rep["bounds"]["upper"] == 1153.0 / 4096 < rep["limit"]
+    assert rep["reason"].startswith(
+        "limit %.6g is above the upper bound 0.281494 by %.3g;"
+        % (rep["limit"], rep["limit"] - 1153.0 / 4096))
+    assert "1153/4096" in rep["reason"] and "5/16" in rep["reason"]

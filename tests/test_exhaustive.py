@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from boolform.boolfun import BoolFunc, Literal
@@ -8,7 +10,7 @@ from boolform.exhaustive import (classifier_counts,
                                  distribution, distribution_by_generation,
                                  generate_trees, is_simple_tautology,
                                  is_simple_x, or_path_literals)
-from boolform.trees import ModelId, compute_function, parse_tree
+from boolform.trees import ModelId, compute_function, format_tree, parse_tree
 
 ALL_MODELS = list(ModelId)
 
@@ -23,6 +25,23 @@ FROZEN_COUNTS = {
 }
 
 COMM_N2_PREFIX = [4, 20, 160, 1700, 20000, 253760, 3374080]
+
+# sha256 of the newline-joined format_tree sequence of generate_trees(model,
+# m, n), recorded once and frozen: generation order is part of the contract
+FROZEN_GENERATION_DIGESTS = {
+    ModelId.CATALAN: {
+        (4, 1): "99ee87ec7024426e4fe3f141858fe84e850f382b3dc4856739cbc2ffbdc5e505",
+        (3, 2): "f15cd55e879ffe08e991b4bf7abb2bbf4b76992d5dc41caf9ff64f9ea796280e"},
+    ModelId.ASSOC: {
+        (4, 1): "442c1ed125d7b12cdc35e3216549b165d29e1e9d92b149b922ef7116fc928c78",
+        (3, 2): "bb0fd1ef637982208830d6d55dd480e6e6d7cd10eb00e6d272217d1a461eefbb"},
+    ModelId.COMM: {
+        (4, 1): "fe78a1e7a8551f6c1c615f4635eabc193764679cb6cc643d1005624eb089ef98",
+        (3, 2): "d6dd87b697aa5787d6c0f0c62efcaad98416e9ee1968690a5dbed28aff1fbc76"},
+    ModelId.ASSOC_COMM: {
+        (4, 1): "b950b562a1d367a65602dc5865ff2b4410c434982fdf9cf6f47d8848ff095980",
+        (3, 2): "7bb2a4d85bb2e08b62fdc85d5e49afb0e09656034a1ec7f41acd1fdff0dbcc4e"},
+}
 
 
 def test_frozen_counts():
@@ -43,6 +62,9 @@ def test_generation_matches_counts_and_is_duplicate_free(model):
             assert len(trees) == count_trees(model, m, n)
             assert len(set(trees)) == len(trees)
             assert all(sum(1 for _ in t.leaves()) == m for t in trees)
+    for (m, n), digest in FROZEN_GENERATION_DIGESTS[model].items():
+        text = "\n".join(format_tree(t) for t in generate_trees(model, m, n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)

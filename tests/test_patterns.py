@@ -3,13 +3,22 @@ from itertools import product
 import pytest
 
 from boolform.errors import DomainError
-from boolform.patterns import (PatternId, count_restrictions, labelling_count,
-                               labelling_weight, match_pattern,
-                               minimal_embedding, stirling2,
+from boolform.exhaustive import _GENERATORS
+from boolform.patterns import (PatternId, _shape_node, count_restrictions,
+                               labelling_count, labelling_weight,
+                               match_pattern, minimal_embedding, stirling2,
                                verify_pattern_lemmas)
 from boolform.trees import ModelId, parse_tree
 
 ALL_MODELS = list(ModelId)
+
+# connective-labelled shapes with m = 1..7 leaves, counted once, then frozen
+FROZEN_SHAPE_COUNTS = {
+    ModelId.CATALAN: [1, 2, 8, 40, 224, 1344, 8448],
+    ModelId.ASSOC: [1, 2, 6, 22, 90, 394, 1806],
+    ModelId.COMM: [1, 2, 4, 14, 44, 164, 616],
+    ModelId.ASSOC_COMM: [1, 2, 4, 10, 24, 66, 180],
+}
 
 
 def test_match_pattern_binary_examples():
@@ -127,7 +136,14 @@ def test_labelling_count_against_brute_force(l, m, n, v, plane):
 
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_lemmas_hold_at_small_sizes(model):
+    shapes = [list(_GENERATORS[model](m, (None,), _shape_node))
+              for m in range(1, 8)]
+    assert [len(s) for s in shapes] == FROZEN_SHAPE_COUNTS[model]
+    assert all(len(set(s)) == len(s) for s in shapes)
     for n in (1, 2):
         rep = verify_pattern_lemmas(model, 5, n)
         assert rep.ok, rep.counterexamples[:3]
-        assert rep.trees_checked > 0
+        # every shape is checked under all (2n)^m leaf labellings
+        assert rep.trees_checked == sum(
+            c * (2 * n) ** m
+            for m, c in enumerate(FROZEN_SHAPE_COUNTS[model][:5], 1))
