@@ -27,28 +27,43 @@ from .trees import ModelId
 DEFAULT_PRECISION = 256
 
 
-def _horner(coeffs: list, z):
-    acc = mp.mpf(0)
-    for c in reversed(coeffs):
-        acc = acc * z + mp.mpf(c.numerator) / mp.mpf(c.denominator)
-    return acc
-
-
 class _SeriesEval:
-    """Horner evaluator with a geometric tail check."""
+    """Horner evaluator of a truncated series at mpf arguments.
 
-    def __init__(self, s: PowerSeries):
+    Each Fraction coefficient is converted to mpf once per working precision,
+    as mpf(numerator)/mpf(denominator) at that precision, and each value is
+    kept per (precision, argument) for the life of the evaluator.  With
+    tail_check, a geometric tail that is not negligible raises NumericError.
+    """
+
+    def __init__(self, s: PowerSeries, tail_check: bool = True):
         self.coeffs = s.coeffs
+        self.tail_check = tail_check
+        self._by_prec: dict = {}  # precision -> (mpf coefficients, values)
 
     def __call__(self, z):
-        val = _horner(self.coeffs, z)
-        last = self.coeffs[-1]
-        tail = abs(mp.mpf(last.numerator) / mp.mpf(last.denominator) * z ** (len(self.coeffs) - 1))
-        # geometric tail estimate must be well below the needed accuracy
-        if tail > (abs(val) + mp.mpf("1e-30")) * mp.mpf("1e-25"):
-            raise NumericError("series tail not negligible at z=%s" % z,
-                               diagnostics={"tail": float(tail), "value": float(val)})
-        return val
+        prec = mp.mp.prec
+        state = self._by_prec.get(prec)
+        if state is None:
+            coeffs = [mp.mpf(c.numerator) / mp.mpf(c.denominator)
+                      for c in self.coeffs]
+            state = self._by_prec[prec] = (coeffs, {})
+        coeffs, seen = state
+        hit = seen.get(z)
+        if hit is not None:
+            return hit
+        acc = mp.mpf(0)
+        for c in reversed(coeffs):
+            acc = acc * z + c
+        if self.tail_check:
+            tail = abs(coeffs[-1] * z ** (len(coeffs) - 1))
+            # geometric tail estimate must be well below the needed accuracy
+            if tail > (abs(acc) + mp.mpf("1e-30")) * mp.mpf("1e-25"):
+                raise NumericError("series tail not negligible at z=%s" % z,
+                                   diagnostics={"tail": float(tail),
+                                                "value": float(acc)})
+        seen[z] = acc
+        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +216,23 @@ def _eval_comm(n: int, order: int):
     return {"T": C, "dT": dC, "st": st, "dst": dst, "g": g, "dg": dg}
 
 
+_TAIL_TERMS_MAX = 6000
+
+
 def _tail_sum(z, fn):
-    # sum over l >= 2 of fn(l); terms shrink like z^l
+    """Sum over l >= 2 of fn(l), whose terms shrink like z^l."""
     acc = mp.mpf(0)
     l = 2
     while True:
-        acc += fn(l)
-        if abs(z) ** l < mp.eps * mp.mpf(2) ** -16 or l > 6000:
-            break
+        term = fn(l)
+        acc += term
+        if abs(z) ** l < mp.eps * mp.mpf(2) ** -16:
+            return acc
+        if l > _TAIL_TERMS_MAX:
+            raise NumericError("Polya tail sum did not converge",
+                               diagnostics={"z": float(z), "l": l,
+                                            "term": float(abs(term))})
         l += 1
-    return acc
 
 
 def _log_pi(ev_hat, z):
@@ -218,14 +240,16 @@ def _log_pi(ev_hat, z):
     return _tail_sum(z, lambda l: ev_hat(z ** l) / l)
 
 
+def _dlog_pi(ev_dhat, z):
+    """Derivative of log Pi: sum over l >= 2 of z^(l-1) hat'(z^l)."""
+    return _tail_sum(z, lambda l: z ** (l - 1) * ev_dhat(z ** l))
+
+
 def _eval_assoccomm(n: int, order: int):
     n_ = mp.mpf(n)
     _, hat_series = solve_model_series(ModelId.ASSOC_COMM, n, order, with_half=True)
     ev_hat = _SeriesEval(hat_series)
     ev_dhat = _SeriesEval(hat_series.derivative())
-
-    def dlog_pi(z):
-        return _tail_sum(z, lambda l: z ** (l - 1) * ev_dhat(z ** l))
 
     hat_cache: dict = {}
 
@@ -254,10 +278,17 @@ def _eval_assoccomm(n: int, order: int):
         hat_cache[z] = y
         return y
 
+    dhat_cache: dict = {}
+
     def dhat(z):
+        # dT and both _dw need it at every rung
+        if z in dhat_cache:
+            return dhat_cache[z]
         y = hat(z)
         e = mp.exp(y) * mp.exp(_log_pi(ev_hat, z))
-        return (n_ + e * dlog_pi(z) / 2) / (1 - e / 2)
+        dy = (n_ + e * _dlog_pi(ev_dhat, z) / 2) / (1 - e / 2)
+        dhat_cache[z] = dy
+        return dy
 
     def T(z):
         return 2 * hat(z) - 2 * n_ * z
@@ -308,7 +339,7 @@ def analytic_evaluators(model: ModelId, n: int, order: int = DEFAULT_ORDER):
 # dominant singularities
 
 
-@dataclass
+@dataclass(frozen=True)
 class SingularityReport:
     model: ModelId
     n: int
@@ -317,40 +348,107 @@ class SingularityReport:
     method: str
 
 
-def _bisect(fn: Callable, lo, hi, iters: int = 400):
+def _bisect(fn: Callable, lo, hi, iters: int = 400, guess=None):
+    """Zero of fn in [lo, hi] by bisection.
+
+    With a guess of the zero, a step whose midpoint lies more than 2^20 ulps
+    from the guess takes its side from the guess instead of evaluating fn.
+    Wherever fn's sign is right that far from its zero, the steps and the
+    result are those of plain bisection; the final bracket is checked for a
+    sign change, so a wrong guess raises NumericError.
+    """
     flo = fn(lo)
     fhi = fn(hi)
     if flo * fhi > 0:
         raise NumericError("no sign change in bracket",
                            diagnostics={"lo": float(lo), "hi": float(hi)})
+    margin = None if guess is None else abs(guess) * mp.eps * 2 ** 20
     for _ in range(iters):
         mid = (lo + hi) / 2
-        fm = fn(mid)
-        if fm == 0:
-            return mid
-        if flo * fm <= 0:
-            hi, fhi = mid, fm
+        if margin is not None and abs(mid - guess) > margin:
+            if mid < guess:
+                lo = mid
+            else:
+                hi = mid
         else:
-            lo, flo = mid, fm
+            fm = fn(mid)
+            if fm == 0:
+                return mid
+            if flo * fm <= 0:
+                hi, fhi = mid, fm
+            else:
+                lo, flo = mid, fm
         if hi - lo < abs(mid) * mp.eps * 4:
             break
+    if guess is not None and fn(lo) * fn(hi) > 0:
+        raise NumericError("guess outside the final bracket",
+                           diagnostics={"lo": float(lo), "hi": float(hi),
+                                        "guess": float(guess)})
     return (lo + hi) / 2
 
 
-def _branch_condition(model: ModelId, n: int, order: int) -> Callable:
-    """Function of z whose smallest positive zero is the singularity."""
+_NEWTON_STEPS_MAX = 100
+
+
+def _newton(fn: Callable, dfn: Callable, lo, hi, rtol):
+    """Zero of fn in [lo, hi] by Newton steps from hi, to a step below rtol.
+
+    Suited to a monotone fn that is convex or concave on the bracket, where
+    every step stays inside it; a step that leaves the bracket, or no
+    convergence within _NEWTON_STEPS_MAX steps, raises NumericError.  rtol
+    must stay above the relative rounding noise of fn's zero.
+    """
+    flo = fn(lo)
+    fz = fn(hi)
+    if flo * fz > 0:
+        raise NumericError("no sign change in bracket",
+                           diagnostics={"lo": float(lo), "hi": float(hi)})
+    z = hi
+    for k in range(_NEWTON_STEPS_MAX):
+        if fz == 0:
+            return z
+        step = fz / dfn(z)
+        z_next = z - step
+        if not lo <= z_next <= hi:
+            raise NumericError("Newton step left the bracket",
+                               diagnostics={"lo": float(lo), "hi": float(hi),
+                                            "z": float(z_next), "iterations": k + 1})
+        z = z_next
+        if abs(step) <= abs(z) * rtol:
+            return z
+        fz = fn(z)
+    raise NumericError("Newton did not converge",
+                       diagnostics={"z": float(z), "step": float(step),
+                                    "iterations": _NEWTON_STEPS_MAX})
+
+
+def _branch_condition(model: ModelId, n: int, order: int):
+    """(f, f') with f's smallest positive zero the singularity.
+
+    f' is None where plain bisection is cheap enough.
+    """
     n_ = mp.mpf(n)
     if model is ModelId.CATALAN:
-        return lambda z: 1 - 16 * n_ * z
+        return (lambda z: 1 - 16 * n_ * z), None
     if model is ModelId.ASSOC:
-        return lambda z: (1 + 2 * n_ * z) ** 2 - 16 * n_ * z
+        return (lambda z: (1 + 2 * n_ * z) ** 2 - 16 * n_ * z), None
     if model is ModelId.COMM:
         ev_c = _SeriesEval(solve_model_series(ModelId.COMM, n, order))
-        return lambda z: 1 - 8 * n_ * z - 4 * ev_c(z * z)
-    ev_hat = _SeriesEval(solve_model_series(ModelId.ASSOC_COMM, n, order,
-                                            with_half=True)[1])
-    # branch point of y = (e^y Pi - 1 + 2nz)/2: e^y Pi = 2 with y = 1/2 + nz
-    return lambda z: 2 - mp.exp(mp.mpf(1) / 2 + n_ * z + _log_pi(ev_hat, z))
+        return (lambda z: 1 - 8 * n_ * z - 4 * ev_c(z * z)), None
+    hat_series = solve_model_series(ModelId.ASSOC_COMM, n, order,
+                                    with_half=True)[1]
+    ev_hat = _SeriesEval(hat_series)
+    # the derivative only steers Newton's steps, so its tail goes unchecked
+    ev_dhat = _SeriesEval(hat_series.derivative(), tail_check=False)
+
+    def cond(z):
+        # branch point of y = (e^y Pi - 1 + 2nz)/2: e^y Pi = 2 with y = 1/2 + nz
+        return 2 - mp.exp(mp.mpf(1) / 2 + n_ * z + _log_pi(ev_hat, z))
+
+    def dcond(z):
+        return (cond(z) - 2) * (n_ + _dlog_pi(ev_dhat, z))
+
+    return cond, dcond
 
 
 def dominant_singularity(model: ModelId, n: int,
@@ -360,6 +458,12 @@ def dominant_singularity(model: ModelId, n: int,
     """Smallest positive singularity of the model series and its value there."""
     if method is None:
         method = "closed-form" if model in (ModelId.CATALAN, ModelId.ASSOC) else "numeric-system"
+    return _dominant_singularity(model, n, precision, method, order)
+
+
+@lru_cache(maxsize=None)
+def _dominant_singularity(model: ModelId, n: int, precision: int, method: str,
+                          order: int) -> SingularityReport:
     with mp.workprec(precision):
         n_ = mp.mpf(n)
         if method == "closed-form":
@@ -374,7 +478,7 @@ def dominant_singularity(model: ModelId, n: int,
             return SingularityReport(model, n, rho, value, method)
         if method != "numeric-system":
             raise DomainError("unknown method %r" % method)
-        cond = _branch_condition(model, n, order)
+        cond, dcond = _branch_condition(model, n, order)
         # initial bracket chosen so any z^2 / z^l substitutions stay well
         # inside the disk of convergence
         if model is ModelId.COMM:
@@ -388,13 +492,16 @@ def dominant_singularity(model: ModelId, n: int,
             if hi > 10:
                 raise NumericError("failed to bracket the singularity",
                                    diagnostics={"model": model.value, "n": n})
-        rho = _bisect(cond, mp.mpf(0), hi)
-        ev = analytic_evaluators(model, n, order)
+        # Newton finds the zero to 2^8 ulps in a few steps; bisection then
+        # needs fn only near it, and gives the same bits as without the guess
+        guess = None if dcond is None else _newton(cond, dcond, mp.mpf(0), hi,
+                                                   mp.eps * 2 ** 8)
+        rho = _bisect(cond, mp.mpf(0), hi, guess=guess)
         if model is ModelId.ASSOC_COMM:
             # at the branch point the half-series value is 1/2 + n*rho
             value = mp.mpf(1) / 2 + n_ * rho
         else:
-            value = ev["T"](rho)
+            value = analytic_evaluators(model, n, order)["T"](rho)
         return SingularityReport(model, n, rho, value, method)
 
 
@@ -414,8 +521,7 @@ Evaluator = Union[PowerSeries, Callable]
 
 def _as_derivative_fn(obj: Evaluator) -> Callable:
     if isinstance(obj, PowerSeries):
-        d = obj.derivative()
-        return lambda z: _horner(d.coeffs, z)
+        return _SeriesEval(obj.derivative(), tail_check=False)
     return obj
 
 

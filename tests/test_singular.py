@@ -1,6 +1,9 @@
+import dataclasses
+
 import mpmath as mp
 import pytest
 
+from boolform import singular
 from boolform.errors import NumericError
 from boolform.series import solve_model_series
 from boolform.singular import (REFERENCE_CONSTANTS, analytic_evaluators,
@@ -111,3 +114,105 @@ def test_singularity_report_shape():
     assert rep["model"] == "comm"
     assert set(rep["ratios"]) == {"true_const", "literal_const"}
     assert "rho" in rep and "method" in rep
+
+
+# printed digits of singularity_report at n = 100, 256 bits, order 64, as
+# plain bisection and uncached evaluation give them; any faster solver or
+# cache must reproduce them. comm's value_at_rho is complex because the
+# square root at rho takes a rounding residue.
+PINNED_REPORTS_N100 = {
+    ModelId.COMM: {
+        "rho": "0.0012484409067188106195575855947",
+        "value_at_rho": "(0.5 - 2.5516389732364512431167060215e-39j)",
+        "true_const": "0.7307245746435571315",
+        "literal_const": "0.30629208071188373035",
+    },
+    ModelId.ASSOC_COMM: {
+        "rho": "0.00192774941559990185203640563534",
+        "value_at_rho": "0.692774941559990185203640563534",
+        "true_const": "0.03716217809345763114",
+        "literal_const": "0.088652229607331746924",
+    },
+}
+
+
+@pytest.mark.parametrize("model", sorted(PINNED_REPORTS_N100, key=str))
+def test_singularity_report_digits_pinned(model):
+    rep = singularity_report(model, 100, 256, 64)
+    got = {"rho": rep["rho"], "value_at_rho": rep["value_at_rho"],
+           "true_const": rep["ratios"]["true_const"],
+           "literal_const": rep["ratios"]["literal_const"]}
+    assert got == PINNED_REPORTS_N100[model]
+
+
+def test_singularity_report_solves_each_branch_point_once(monkeypatch):
+    calls = []
+    solve = singular._branch_condition
+
+    def counting(model, n, order):
+        calls.append((model, n))
+        return solve(model, n, order)
+
+    monkeypatch.setattr(singular, "_branch_condition", counting)
+    singular._dominant_singularity.cache_clear()
+    singular._rates.cache_clear()
+    for model in (ModelId.COMM, ModelId.ASSOC_COMM):
+        singularity_report(model, 12, order=32)
+        # the default method and the explicit one share the cached solve
+        dominant_singularity(model, 12, method="numeric-system", order=32)
+    assert calls == [(ModelId.COMM, 12), (ModelId.ASSOC_COMM, 12)]
+
+
+def test_singularity_report_is_frozen():
+    rep = dominant_singularity(ModelId.CATALAN, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.rho = 0
+
+
+def test_newton_raises_without_sign_change():
+    with mp.workprec(128):
+        with pytest.raises(NumericError, match="no sign change"):
+            singular._newton(lambda z: z * z + 1, lambda z: 2 * z,
+                             mp.mpf(0), mp.mpf(1), mp.eps)
+
+
+def test_newton_raises_when_a_step_leaves_the_bracket():
+    # Newton on a cube root doubles the distance to the zero at every step
+    def f(z):
+        return mp.sign(z - 0.5) * abs(z - 0.5) ** (mp.mpf(1) / 3)
+
+    def df(z):
+        return abs(z - 0.5) ** (-mp.mpf(2) / 3) / 3
+
+    with mp.workprec(128):
+        with pytest.raises(NumericError, match="left the bracket"):
+            singular._newton(f, df, mp.mpf(0), mp.mpf(1), mp.eps)
+
+
+@pytest.mark.parametrize("prec", [60, 256])
+def test_bisection_with_a_newton_guess_gives_the_same_bits(prec):
+    def f(z):
+        return mp.cos(z) - z
+
+    with mp.workprec(prec):
+        lo, hi = mp.mpf(0), mp.mpf(1)
+        guess = singular._newton(f, lambda z: -mp.sin(z) - 1, lo, hi,
+                                 mp.eps * 2 ** 8)
+        assert singular._bisect(f, lo, hi, guess=guess) == singular._bisect(f, lo, hi)
+
+
+def test_bisection_raises_on_a_wrong_guess():
+    with mp.workprec(128):
+        with pytest.raises(NumericError, match="guess outside"):
+            singular._bisect(lambda z: z - mp.mpf("0.3"), mp.mpf(0), mp.mpf(1),
+                             guess=mp.mpf("0.7"))
+
+
+def test_tail_sum_raises_past_its_cap():
+    with mp.workprec(64):
+        with pytest.raises(NumericError) as info:
+            singular._tail_sum(mp.mpf(1), lambda l: mp.mpf(1) / l)
+    diag = info.value.diagnostics
+    assert diag["z"] == 1.0
+    assert diag["l"] == singular._TAIL_TERMS_MAX + 1
+    assert diag["term"] == pytest.approx(1.0 / diag["l"])
