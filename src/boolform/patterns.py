@@ -307,16 +307,6 @@ def _fold_tables(shape, leaf_tabs: list, idx: list):
     return acc
 
 
-def _eval_bool(shape, values: list, idx: list) -> bool:
-    if shape is None:
-        v = values[idx[0]]
-        idx[0] += 1
-        return v
-    conn, kids = shape
-    vals = [_eval_bool(c, values, idx) for c in kids]
-    return all(vals) if conn == AND else any(vals)
-
-
 @dataclass
 class LemmaReport:
     model: ModelId
@@ -379,14 +369,14 @@ def verify_pattern_lemmas(model: ModelId, m: int, n: int) -> LemmaReport:
             d1, _w = _shape_cands(shape, p, 0, 0, free)
             for cmask in d1:
                 vals = [not ((cmask >> i) & 1) for i in range(size)]
-                if _eval_bool(shape, vals, [0]):
+                if _fold_tables(shape, vals, [0]):
                     report.counterexamples.append(
                         ("all-pattern-leaves-false", shape, cmask))
             if model.stratified:
                 s1, _w = _shape_cands(shape, PatternId.S, 0, 0, free)
                 for cmask in s1:
                     vals = [bool((cmask >> i) & 1) for i in range(size)]
-                    if not _eval_bool(shape, vals, [0]):
+                    if not _fold_tables(shape, vals, [0]):
                         report.counterexamples.append(
                             ("all-s-leaves-true", shape, cmask))
             if not tauto.any():

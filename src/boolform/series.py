@@ -1,11 +1,13 @@
 """Exact truncated power series and the model functional equations.
 
 Coefficients are Fractions; every operation is exact to the stored order.
-Functional equations are solved coefficient by coefficient: the right-hand
-side is affine in the unknown coefficient being determined (checked by a
-three-point probe), so each coefficient is obtained by solving a linear
-equation.  This covers the plain fixed points (where the slope is 0) and
-the exponential equation of the non-plane stratified model (slope 1/2).
+The four models differ only in how an internal node takes its children:
+binary models take ordered (plane) or unordered (non-plane) pairs,
+stratified models take sequences or multisets of at least two (`_pairs`
+and `_many`; the SEQ and MSET constructions, the latter through the Polya
+exponential).  Every equation is written so that coefficient m of its
+right-hand side does not depend on coefficient m of the unknown, and is
+solved with one evaluation of the right-hand side per coefficient.
 """
 
 from __future__ import annotations
@@ -128,13 +130,6 @@ class PowerSeries:
     def derivative(self) -> "PowerSeries":
         return PowerSeries([m * self[m] for m in range(1, self.order + 1)])
 
-    def evaluate(self, z):
-        """Horner evaluation; exact for Fraction z, float/mpf otherwise."""
-        acc = z * 0
-        for c in reversed(self.coeffs):
-            acc = acc * z + (c if isinstance(z, Fraction) else type(z)(c.numerator) / type(z)(c.denominator))
-        return acc
-
     # -- export --------------------------------------------------------
 
     def to_json(self) -> list[str]:
@@ -172,75 +167,66 @@ def log_one_minus_z(order: int) -> PowerSeries:
 
 def solve_equation(rhs: Callable[[PowerSeries], PowerSeries],
                    order: int) -> PowerSeries:
-    """Solve S = rhs(S) coefficient by coefficient.
+    """Solve S = rhs(S) with S_0 = 0, one coefficient at a time.
 
-    Coefficient m of rhs(S) must be affine in S_m with slope != 1 and must
-    not depend on coefficients above m; both are probed numerically (three
-    evaluation points on the first few coefficients, two afterwards).
+    Coefficient m of rhs(S) must depend only on S_1..S_{m-1}; S_m is then
+    coefficient m of rhs applied to the solution so far, one evaluation per
+    coefficient.  The solution is put back into the equation once at full
+    order, and DomainError is raised if any coefficient is off, as it is
+    when coefficient m of rhs(S) also depends on S_m.
     """
     coeffs = [Fraction(0)] * (order + 1)
     for m in range(1, order + 1):
-        def probe(value: Fraction) -> Fraction:
-            coeffs[m] = value
-            return rhs(PowerSeries(coeffs[: m + 1]))[m]
-
-        r0 = probe(Fraction(0))
-        r1 = probe(Fraction(1))
-        slope = r1 - r0
-        if m <= 4:
-            r2 = probe(Fraction(2))
-            if r2 - r1 != slope:
-                raise DomainError("equation not affine in coefficient %d" % m)
-        if slope == 1:
-            raise DomainError("ill-founded equation at coefficient %d" % m)
-        coeffs[m] = r0 / (1 - slope)
-    return PowerSeries(coeffs)
+        coeffs[m] = rhs(PowerSeries(coeffs[: m + 1]))[m]
+    s = PowerSeries(coeffs)
+    off = [m for m, c in enumerate((rhs(s) - s).coeffs) if c]
+    if off:
+        raise DomainError("equation not solved at coefficient %d" % off[0])
+    return s
 
 
 # ---------------------------------------------------------------------------
-# model equations
+# model equations: the models differ only in how a node takes its children
 
 
-def _rhs_catalan(n: int):
+def _pairs(model: ModelId, s: PowerSeries) -> PowerSeries:
+    """Pairs of s-structures: ordered (plane) or unordered (non-plane)."""
+    if model.plane:
+        return s * s
+    return (s * s + s.substitute_power(2)).scale(Fraction(1, 2))
+
+
+def _many(model: ModelId, s: PowerSeries) -> PowerSeries:
+    """Sequences (plane) or multisets (non-plane) of >= 2 s-structures."""
+    one = PowerSeries.monomial(1, 0, s.order)
+    if model.plane:
+        return (s * s) * (one - s).inverse()
+    return polya_sum(s).exp() - one - s
+
+
+def _base_rhs(model: ModelId, n: int):
+    """Binary T = 2nz + 2 pairs(T); stratified hat = 2nz + many(hat).
+
+    hat counts the leaves and the trees with one fixed root connective;
+    the children of such a root are leaves or trees of the other one.
+    """
     def rhs(s: PowerSeries) -> PowerSeries:
-        return PowerSeries.monomial(2 * n, 1, s.order) + (s * s).scale(2)
+        leaves = PowerSeries.monomial(2 * n, 1, s.order)
+        if model.stratified:
+            return leaves + _many(model, s)
+        return leaves + _pairs(model, s).scale(2)
     return rhs
-
-
-def _rhs_assoc_half(n: int):
-    def rhs(s: PowerSeries) -> PowerSeries:
-        one = PowerSeries.monomial(1, 0, s.order)
-        return PowerSeries.monomial(2 * n, 1, s.order) + (s * s) * (one - s).inverse()
-    return rhs
-
-
-def _rhs_comm(n: int):
-    def rhs(s: PowerSeries) -> PowerSeries:
-        return (PowerSeries.monomial(2 * n, 1, s.order) + s * s
-                + s.substitute_power(2))
-    return rhs
-
-
-def _rhs_assoccomm_half(n: int):
-    def rhs(s: PowerSeries) -> PowerSeries:
-        one = PowerSeries.monomial(1, 0, s.order)
-        e = polya_sum(s).exp()
-        return (e - one + PowerSeries.monomial(2 * n, 1, s.order)).scale(Fraction(1, 2))
-    return rhs
-
-
-_MODEL_RHS = {
-    ModelId.CATALAN: _rhs_catalan,
-    ModelId.ASSOC: _rhs_assoc_half,
-    ModelId.COMM: _rhs_comm,
-    ModelId.ASSOC_COMM: _rhs_assoccomm_half,
-}
 
 
 @lru_cache(maxsize=None)
 def _solve_base(model: ModelId, n: int, order: int) -> PowerSeries:
-    # solved series are treated as immutable; cached per (model, n, order)
-    return solve_equation(_MODEL_RHS[model](n), order)
+    # every series entry point comes through here; solved series are
+    # treated as immutable and cached per (model, n, order)
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    if order < 1:
+        raise DomainError("order must be >= 1")
+    return solve_equation(_base_rhs(model, n), order)
 
 
 def solve_half_series(model: ModelId, n: int, order: int = DEFAULT_ORDER) -> PowerSeries:
@@ -250,18 +236,12 @@ def solve_half_series(model: ModelId, n: int, order: int = DEFAULT_ORDER) -> Pow
     return _solve_base(model, n, order)
 
 
-def solve_model_series(model: ModelId, n: int, order: int = DEFAULT_ORDER,
-                       with_half: bool = False):
-    """Counting series of the model; optionally also the half-series."""
-    if order < 1:
-        raise DomainError("order must be >= 1")
+def solve_model_series(model: ModelId, n: int, order: int = DEFAULT_ORDER) -> PowerSeries:
+    """Counting series of the model."""
+    base = _solve_base(model, n, order)
     if model.stratified:
-        half = _solve_base(model, n, order)
-        full = half.scale(2) - PowerSeries.monomial(2 * n, 1, order)
-        return (full, half) if with_half else full
-    if with_half:
-        raise DomainError("half-series only defined for stratified models")
-    return _solve_base(model, n, order)
+        return base.scale(2) - PowerSeries.monomial(2 * n, 1, order)
+    return base
 
 
 # ---------------------------------------------------------------------------
@@ -270,120 +250,48 @@ def solve_model_series(model: ModelId, n: int, order: int = DEFAULT_ORDER,
 AUX_KINDS = ("g_x", "gbar_x", "st_x", "stbar_x", "h_x", "simple_x_T", "simple_x_X")
 
 
-def _aux_catalan(kind: str, n: int, order: int) -> PowerSeries:
-    t = solve_model_series(ModelId.CATALAN, n, order)
+def _cross(model: ModelId, gt: PowerSeries) -> PowerSeries:
+    """Or-pairs of an x-only and a ~x-only or-path tree; gt counts each."""
+    sq = gt * gt
+    return sq.scale(2) if model.plane else sq
 
-    def rhs_gbar(s: PowerSeries) -> PowerSeries:
-        return (PowerSeries.monomial(2 * n - 1, 1, s.order)
-                + t.truncate(s.order) * t.truncate(s.order) + s * s)
 
-    gbar = solve_equation(rhs_gbar, order)
-    g = t - gbar
+def _aux_series(model: ModelId, kind: str, n: int, order: int) -> PowerSeries:
+    """g_x, gbar_x, st_x, stbar_x or h_x, solved afresh."""
+    full = solve_model_series(model, n, order)
+    if model.stratified:
+        # or-root children counted by hat: hat - z leaves out the leaf x,
+        # hat - 2z both x and ~x
+        hat = _solve_base(model, n, order)
+        z = PowerSeries.monomial(1, 1, order)
+        if kind in ("g_x", "gbar_x"):
+            g = z + _many(model, hat) - _many(model, hat - z)
+            return g if kind == "g_x" else full - g
+        st = (_many(model, hat) - _many(model, hat - z).scale(2)
+              + _many(model, hat - z.scale(2)))
+        return st if kind == "st_x" else full - st
+    # binary: an and-root takes any pair, an or-root a pair of trees that
+    # (gbar) have no or-path to x or (stbar) are no simple tautology on
+    # the variable of x, without the pairs of x-only and ~x-only or-paths
+    pairs_full = _pairs(model, full)
+
+    def rhs(s: PowerSeries, leaves: int, gbar=None) -> PowerSeries:
+        d = s.order
+        out = (PowerSeries.monomial(leaves, 1, d) + pairs_full.truncate(d)
+               + _pairs(model, s))
+        return out if gbar is None else out - _cross(model, s - gbar.truncate(d))
+
+    gbar = solve_equation(lambda s: rhs(s, 2 * n - 1), order)
     if kind == "gbar_x":
         return gbar
     if kind == "g_x":
-        return g
-    # gt = g - st: or-path to x but not to ~x; st enters through gt, so the
-    # equation is solved jointly with st = T - stbar substituted
-    def rhs_stbar(s: PowerSeries) -> PowerSeries:
-        d = s.order
-        gt = g.truncate(d) - t.truncate(d) + s
-        return (PowerSeries.monomial(2 * n, 1, d)
-                + t.truncate(d) * t.truncate(d)
-                + s * s - (gt * gt).scale(2))
-
-    stbar = solve_equation(rhs_stbar, order)
+        return full - gbar
+    stbar = solve_equation(lambda s: rhs(s, 2 * n, gbar), order)
     if kind == "stbar_x":
         return stbar
-    st = t - stbar
     if kind == "h_x":
-        gt = g - st
-        return (gt * gt).scale(2)
-    return st  # st_x
-
-
-def _f_seq(u: PowerSeries) -> PowerSeries:
-    # u^2/(1-u): sequences of >= 2 items
-    one = PowerSeries.monomial(1, 0, u.order)
-    return (u * u) * (one - u).inverse()
-
-
-def _aux_assoc(kind: str, n: int, order: int) -> PowerSeries:
-    a, half = solve_model_series(ModelId.ASSOC, n, order, with_half=True)
-    z = PowerSeries.monomial(1, 1, order)
-    g = z + _f_seq(half) - _f_seq(half - z)
-    if kind == "g_x":
-        return g
-    if kind == "gbar_x":
-        return a - g
-    st = _f_seq(half) - _f_seq(half - z).scale(2) + _f_seq(half - z.scale(2))
-    if kind == "st_x":
-        return st
-    if kind == "stbar_x":
-        return a - st
-    raise DomainError("kind %r not defined for assoc" % kind)
-
-
-def _aux_comm(kind: str, n: int, order: int) -> PowerSeries:
-    c = solve_model_series(ModelId.COMM, n, order)
-    c2 = c.substitute_power(2)
-    pair = (c * c + c2).scale(Fraction(1, 2))
-
-    def rhs_gbar(s: PowerSeries) -> PowerSeries:
-        d = s.order
-        return (PowerSeries.monomial(2 * n - 1, 1, d) + pair.truncate(d)
-                + (s * s + s.substitute_power(2)).scale(Fraction(1, 2)))
-
-    gbar = solve_equation(rhs_gbar, order)
-    g = c - gbar
-    if kind == "gbar_x":
-        return gbar
-    if kind == "g_x":
-        return g
-
-    def rhs_stbar(s: PowerSeries) -> PowerSeries:
-        d = s.order
-        # subtracted term pairs an x-only or-path with an ~x-only one;
-        # each factor is g - st = g - (C - stbar), stbar substituted
-        gt = g.truncate(d) - c.truncate(d) + s
-        return (PowerSeries.monomial(2 * n, 1, d) + pair.truncate(d)
-                + (s * s + s.substitute_power(2)).scale(Fraction(1, 2))
-                - gt * gt)
-
-    stbar = solve_equation(rhs_stbar, order)
-    if kind == "stbar_x":
-        return stbar
-    if kind == "st_x":
-        return c - stbar
-    raise DomainError("kind %r not defined for comm" % kind)
-
-
-def _aux_assoccomm(kind: str, n: int, order: int) -> PowerSeries:
-    p, half = solve_model_series(ModelId.ASSOC_COMM, n, order, with_half=True)
-    z = PowerSeries.monomial(1, 1, order)
-    one = PowerSeries.monomial(1, 0, order)
-    ps = polya_sum(half)
-    lg = log_one_minus_z(order)
-    inv1z = (one - z).inverse()
-    g = z * inv1z * (ps - lg).exp()
-    if kind == "g_x":
-        return g
-    if kind == "gbar_x":
-        return p - g
-    st = (z * z) * inv1z * inv1z * (ps - lg.scale(2)).exp()
-    if kind == "st_x":
-        return st
-    if kind == "stbar_x":
-        return p - st
-    raise DomainError("kind %r not defined for assoccomm" % kind)
-
-
-_AUX = {
-    ModelId.CATALAN: _aux_catalan,
-    ModelId.ASSOC: _aux_assoc,
-    ModelId.COMM: _aux_comm,
-    ModelId.ASSOC_COMM: _aux_assoccomm,
-}
+        return _cross(model, stbar - gbar)
+    return full - stbar  # st_x
 
 
 def solve_aux_series(model: ModelId, kind: str, n: int,
@@ -413,7 +321,7 @@ def solve_aux_series(model: ModelId, kind: str, n: int,
 
 @lru_cache(maxsize=None)
 def _solve_aux_cached(model: ModelId, kind: str, n: int, order: int) -> PowerSeries:
-    return _AUX[model](kind, n, order)
+    return _aux_series(model, kind, n, order)
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +344,15 @@ class SanityReport:
 def series_sanity(model: ModelId, n: int, order: int = DEFAULT_ORDER) -> SanityReport:
     """Substitute each solved series back into its equation; exact residuals."""
     checks = {}
+    full = solve_model_series(model, n, order)
     if model.stratified:
-        full, half = solve_model_series(model, n, order, with_half=True)
-        res = _MODEL_RHS[model](n)(half) - half
+        half = solve_half_series(model, n, order)
+        res = _base_rhs(model, n)(half) - half
         checks["half"] = max(abs(c) for c in res.coeffs)
         res2 = half.scale(2) - PowerSeries.monomial(2 * n, 1, order) - full
         checks["full"] = max(abs(c) for c in res2.coeffs)
     else:
-        full = solve_model_series(model, n, order)
-        res = _MODEL_RHS[model](n)(full) - full
+        res = _base_rhs(model, n)(full) - full
         checks["full"] = max(abs(c) for c in res.coeffs)
     if model is ModelId.CATALAN:
         g = solve_aux_series(model, "g_x", n, order)

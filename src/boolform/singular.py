@@ -21,7 +21,8 @@ from typing import Callable, Optional, Union
 import mpmath as mp
 
 from .errors import DomainError, NumericError
-from .series import DEFAULT_ORDER, PowerSeries, solve_aux_series, solve_model_series
+from .series import (DEFAULT_ORDER, PowerSeries, solve_aux_series,
+                     solve_half_series, solve_model_series)
 from .trees import ModelId
 
 DEFAULT_PRECISION = 256
@@ -247,7 +248,7 @@ def _dlog_pi(ev_dhat, z):
 
 def _eval_assoccomm(n: int, order: int):
     n_ = mp.mpf(n)
-    _, hat_series = solve_model_series(ModelId.ASSOC_COMM, n, order, with_half=True)
+    hat_series = solve_half_series(ModelId.ASSOC_COMM, n, order)
     ev_hat = _SeriesEval(hat_series)
     ev_dhat = _SeriesEval(hat_series.derivative())
 
@@ -435,8 +436,7 @@ def _branch_condition(model: ModelId, n: int, order: int):
     if model is ModelId.COMM:
         ev_c = _SeriesEval(solve_model_series(ModelId.COMM, n, order))
         return (lambda z: 1 - 8 * n_ * z - 4 * ev_c(z * z)), None
-    hat_series = solve_model_series(ModelId.ASSOC_COMM, n, order,
-                                    with_half=True)[1]
+    hat_series = solve_half_series(ModelId.ASSOC_COMM, n, order)
     ev_hat = _SeriesEval(hat_series)
     # the derivative only steers Newton's steps, so its tail goes unchecked
     ev_dhat = _SeriesEval(hat_series.derivative(), tail_check=False)
@@ -456,6 +456,8 @@ def dominant_singularity(model: ModelId, n: int,
                          method: Optional[str] = None,
                          order: int = DEFAULT_ORDER) -> SingularityReport:
     """Smallest positive singularity of the model series and its value there."""
+    if n < 1:
+        raise DomainError("n must be >= 1")
     if method is None:
         method = "closed-form" if model in (ModelId.CATALAN, ModelId.ASSOC) else "numeric-system"
     return _dominant_singularity(model, n, precision, method, order)

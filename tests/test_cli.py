@@ -91,6 +91,23 @@ def test_missing_flag_is_usage_error(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ["series", "--model", "catalan", "--vars", "-1", "--order", "4"],
+    ["series", "--model", "assoccomm", "--vars", "1", "--order", "0",
+     "--kind", "half"],
+    ["series", "--model", "assoccomm", "--vars", "1", "--order", "0"],
+    ["series", "--model", "comm", "--vars", "0", "--order", "4",
+     "--kind", "g_x"],
+    ["singularity", "--model", "catalan", "--vars", "0"],
+    ["ratio", "--model", "comm", "--vars", "0", "--order", "8"],
+])
+def test_out_of_range_vars_or_order_is_usage_error(capsys, argv):
+    code, out, err = _capture(capsys, argv)
+    assert code == 64
+    assert out == ""
+    assert json.loads(err)["error"] == "usage"
+
+
 def test_resource_cap_exit_code(capsys):
     code, _, err = _capture(capsys, ["distribution", "--model", "catalan",
                                      "--vars", "8", "--size", "3"])

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -6,7 +8,8 @@ from boolform.errors import DomainError
 from boolform.exhaustive import classifier_counts, count_trees
 from boolform.series import (AUX_KINDS, PowerSeries, log_one_minus_z,
                              polya_sum, series_sanity, solve_aux_series,
-                             solve_half_series, solve_model_series)
+                             solve_equation, solve_half_series,
+                             solve_model_series)
 from boolform.trees import ModelId
 
 ALL_MODELS = list(ModelId)
@@ -18,7 +21,6 @@ def test_power_series_arithmetic():
     assert (a * b).coeffs == [Fraction(0), Fraction(1), Fraction(2)]
     assert (a + b).coeffs == [Fraction(1), Fraction(3), Fraction(3)]
     assert a.derivative().coeffs == [Fraction(2), Fraction(6)]
-    assert a.evaluate(Fraction(1, 2)) == Fraction(1) + 1 + Fraction(3, 4)
 
 
 def test_power_series_inverse_and_exp():
@@ -124,3 +126,110 @@ def test_frozen_aux_coefficients():
 def test_to_json_fractions():
     s = PowerSeries([Fraction(1, 3), Fraction(-2, 7)])
     assert s.to_json() == ["1/3", "-2/7"]
+
+
+def test_solve_equation_rejects_coefficient_dependent_on_itself():
+    n = 1
+
+    def half_slope(s):
+        # the stratified non-plane equation in its slope-1/2 form, where
+        # coefficient m of the right-hand side depends on s_m
+        one = PowerSeries.monomial(1, 0, s.order)
+        leaves = PowerSeries.monomial(2 * n, 1, s.order)
+        return (polya_sum(s).exp() - one + leaves).scale(Fraction(1, 2))
+
+    def unit_slope(s):
+        return s + PowerSeries.monomial(1, 1, s.order)
+
+    for rhs in (half_slope, unit_slope):
+        with pytest.raises(DomainError):
+            solve_equation(rhs, 8)
+
+
+# sha256 of json.dumps([to_json() at n = 1, to_json() at n = 2]), order 24,
+# recorded with the probe-based solver that the one-evaluation solver replaced
+PINNED_SERIES = {
+    (ModelId.CATALAN, "base"):
+        "e90475a539452a4f82ce29ca6ce3bbf5a5d86555dd012d59f29550e12e0eba49",
+    (ModelId.CATALAN, "g_x"):
+        "a5b7d2a9c5c49b4f8e0958299db37c932907f7fa47afc132e9fcaabe8ad4933a",
+    (ModelId.CATALAN, "gbar_x"):
+        "dd5f3e873e96da4c96f3c59847efe57fcc93fce9cd9d98d3d3adbad82cf4dd31",
+    (ModelId.CATALAN, "st_x"):
+        "3c3205e1354f67496390ed7ac07ceaab7a704944a6603d78d202bee83ebe22fb",
+    (ModelId.CATALAN, "stbar_x"):
+        "70bb53bede6831b6a32d2a3befd47381f48c7afa80ae1fed463d721fe3b0d76c",
+    (ModelId.CATALAN, "h_x"):
+        "2a8f138d769461b35a21979f9e27727980776256a251263c2428e39d058cdcfa",
+    (ModelId.CATALAN, "simple_x_T"):
+        "abad1d3c0761fb8e76742b5b95b6cf2cd60f100900ec6d8cef0de4834e81ebd3",
+    (ModelId.CATALAN, "simple_x_X"):
+        "eae5bfa20e82ac11dbb36b814f00b2db7e4308db8cc62896af269f8386b4f039",
+    (ModelId.ASSOC, "base"):
+        "b09b4bf58a4a7c270562eab0dda2b671eeebbadeb0dffa64fde99259af9b0e23",
+    (ModelId.ASSOC, "half"):
+        "cead90b5d3761f79a8636c97d8b97395484d4ce8974eecf6d3ddf88a9148d356",
+    (ModelId.ASSOC, "g_x"):
+        "02e81699c72abb5098e6ede23706a11c9459ed2ed19698c1e733e7e63bd2bfdc",
+    (ModelId.ASSOC, "gbar_x"):
+        "61627f712b4fdbd67d8b9faf524b2b8f4df000bcbb28ed95c3877351b2f7cbec",
+    (ModelId.ASSOC, "st_x"):
+        "c18075ad6b4bdf0583be234cdafb173a7eb6cff08484bf89c6100b86491b8c53",
+    (ModelId.ASSOC, "stbar_x"):
+        "bde730a3269bb9ecb5dad525bcf439c800e74c60ef6d305f26d79d7bca176a92",
+    (ModelId.ASSOC, "simple_x_T"):
+        "fd0834a6caf4a92abbdf318d90b0f4b54ab26e761582d1ea44770609b2a2498b",
+    (ModelId.ASSOC, "simple_x_X"):
+        "a57ee5a7586069e9d2573df708ad5ecb802bc75fd708c92c2426139c3293f391",
+    (ModelId.COMM, "base"):
+        "503d737ae57385ac069934b3e874130e45bc960686bebfb08da6bdbf6365bb39",
+    (ModelId.COMM, "g_x"):
+        "7c2f0572658cc1849ba3160783878b0c645a9e5dfb7d70d3f0bea00f8f5055dc",
+    (ModelId.COMM, "gbar_x"):
+        "a73cc48bf6542845629409a151bd76f8af6e0dbcf67f48e6eba0ee50ed3abab6",
+    (ModelId.COMM, "st_x"):
+        "4f5bf0729b3dd47f81fbedb8c0dce27944325e52049afb87c8870176ff9205b9",
+    (ModelId.COMM, "stbar_x"):
+        "df52c49dc45c03a606a8e91231cb3fe6876d5b1d03104da9aadd4af6653459ba",
+    (ModelId.COMM, "simple_x_T"):
+        "77092b3f2d020656db899aca9eb500237b1f196c08098e6f8a14d62bd58cd0f9",
+    (ModelId.COMM, "simple_x_X"):
+        "69c7ea778a076daebfcc5102a8e71f545c7e365e3baa9971236e5c94996b3aef",
+    (ModelId.ASSOC_COMM, "base"):
+        "f5704cfa54a155a9d77c459c7a0c2bace4b65afd8f4c860a9a2e532dbb60055e",
+    (ModelId.ASSOC_COMM, "half"):
+        "a9860ac39b9fd0dc670535aa37579503535ee4379e89ea5667a979d754b92501",
+    (ModelId.ASSOC_COMM, "g_x"):
+        "c0050c831e3df1d0a2eabf76191aa4604dad172dfada4483ee136f595151f1fc",
+    (ModelId.ASSOC_COMM, "gbar_x"):
+        "226517df4ae901533f055a8c6616aa64b2017cb98c94825ddb6d53c207f5d75d",
+    (ModelId.ASSOC_COMM, "st_x"):
+        "636616b106397ed984d57699291e55dea3f2a5919939ecd3993af85ebf8d1522",
+    (ModelId.ASSOC_COMM, "stbar_x"):
+        "bbe985363fcdc5b44d0b1e4743be6cde045b0c19b3809809ed1343c0d10c72c0",
+    (ModelId.ASSOC_COMM, "simple_x_T"):
+        "b6a13b9c5f39b3d47354bf9a3a7881e09274340aaf8b04e7ac803349fe687f3f",
+    (ModelId.ASSOC_COMM, "simple_x_X"):
+        "5ac42d3cf8a2b45d244515d4d7bbcab16998c33dfca5a3a51054e94885e15bac",
+}
+
+
+def _solve_kind(model, kind, n, order):
+    if kind == "base":
+        return solve_model_series(model, n, order)
+    if kind == "half":
+        return solve_half_series(model, n, order)
+    return solve_aux_series(model, kind, n, order)
+
+
+def test_series_digests_pinned():
+    kinds = {(model, kind) for model in ALL_MODELS
+             for kind in ("base", "half") + AUX_KINDS
+             if (kind != "half" or model.stratified)
+             and (kind != "h_x" or model is ModelId.CATALAN)}
+    assert set(PINNED_SERIES) == kinds
+    for (model, kind), digest in PINNED_SERIES.items():
+        text = json.dumps([_solve_kind(model, kind, n, 24).to_json()
+                           for n in (1, 2)])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (model, kind)
+
