@@ -1,20 +1,27 @@
 """Exhaustive counting, generation and finite-size distributions.
 
-This module is the brute-force oracle for the rest of the package.  Counting
-and distributions use dynamic programming (no cap needed); materializing
-trees is guarded by a configurable cap.
+This module is the brute-force oracle for the rest of the package.  It holds
+three routes, so that each checks the others: tree counts by recurrences
+(count_trees), one tree generator (generate_trees, guarded by a configurable
+cap) and one value DP (distribution and classifier_counts, no cap needed).
+Their cores call none of each other's functions; the entry points consult
+count_trees only for the cap, for range checks and to check the DP's total.
 
-The distribution DP runs over truth tables directly; for the non-plane
-models the unordered pair / multiset structure is handled with the usual
-"choose with repetition" diagonal terms.  The same engines, run over
-classifier states instead of truth tables, produce exact counts of trees
-with an or-only path to a fixed literal and of simple tautologies realized
-by a fixed variable (see classifier_counts).
+The generator and the DP follow one grammar for all four models.  A
+connective node takes its children from one pool (any tree if binary; a leaf
+or a tree rooted by the other connective if stratified), exactly two
+(binary) or at least two (stratified), as a sequence (plane) or as a
+multiset (non-plane).  The DP runs over truth tables for distributions, and
+over classifier states for the counts of trees with an or-only path to a
+fixed literal and of simple tautologies realized by a fixed variable (see
+classifier_counts).  It counts multisets with "choose with repetition"
+terms and folds each repeated child explicitly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 from typing import Callable, Iterator, Sequence
 
@@ -138,107 +145,49 @@ def _literals(n: int) -> list[Literal]:
     return out
 
 
-# The generators take the leaf alphabet and a builder node(conn, kids), so one
-# recursion yields both labelled trees (generate_trees) and the unlabelled
-# connective shapes of patterns.verify_pattern_lemmas (one-symbol alphabet).
+# The generator lists a multiset of children in non-decreasing (size, index)
+# order.  It takes the leaf alphabet and a builder node(conn, kids), so it
+# yields both labelled trees (generate_trees) and the unlabelled connective
+# shapes of patterns.verify_pattern_lemmas (one-symbol alphabet).
 Node = Callable[[str, Sequence], object]
 
 
-def _gen_catalan(m: int, leaves: Sequence, node: Node) -> Iterator:
+def _generate(model: ModelId, m: int, leaves: Sequence, node: Node,
+              roots: Sequence[str] = (AND, OR)) -> Iterator:
+    """Trees of size m that are a leaf or rooted by a connective in roots."""
     if m == 1:
         yield from leaves
         return
-    for conn in (AND, OR):
-        for i in range(1, m):
-            for left in _gen_catalan(i, leaves, node):
-                for right in _gen_catalan(m - i, leaves, node):
-                    yield node(conn, (left, right))
+    plane, binary = model.plane, model.binary
+    for conn in roots:
+        pool = (AND, OR) if binary else (opposite(conn),)
 
-
-def _gen_assoc_class(m: int, leaves: Sequence, node: Node, conn: str) -> Iterator:
-    # trees usable as a child of an opposite(conn)-node: leaf or conn-rooted
-    if m == 1:
-        yield from leaves
-        return
-
-    def parts(remaining: int, acc: list) -> Iterator:
-        # first child must leave room for at least one more
-        top = remaining if acc else remaining - 1
-        for size in range(1, top + 1):
-            for child in _gen_assoc_class(size, leaves, node, opposite(conn)):
-                if size == remaining:
+        def kids(remaining: int, lo: int, start: int, acc: list) -> Iterator:
+            # acc holds the children so far; the next has size >= lo, and
+            # index >= start at size lo.  A child that is not the last leaves
+            # room for one more: of any size (plane) or no smaller (non-plane)
+            top = remaining - 1 if plane else remaining // 2
+            for size in range(lo, top + 1):
+                first = start if size == lo else 0
+                for idx, child in islice(enumerate(
+                        _generate(model, size, leaves, node, pool)), first, None):
+                    rest = remaining - size
+                    if binary:
+                        # the second child takes all that remains
+                        for other in islice(_generate(model, rest, leaves, node, pool),
+                                            0 if plane or rest > size else idx, None):
+                            yield node(conn, (child, other))
+                    else:
+                        yield from kids(rest, 1 if plane else size,
+                                        0 if plane else idx, acc + [child])
+            if acc:
+                # the last child takes all that remains
+                first = start if remaining == lo else 0
+                for child in islice(_generate(model, remaining, leaves, node, pool),
+                                    first, None):
                     yield node(conn, acc + [child])
-                else:
-                    yield from parts(remaining - size, acc + [child])
 
-    yield from parts(m, [])
-
-
-def _gen_assoc(m: int, leaves: Sequence, node: Node) -> Iterator:
-    if m == 1:
-        yield from leaves
-        return
-    for conn in (AND, OR):
-        yield from _gen_assoc_class(m, leaves, node, conn)
-
-
-def _gen_comm(m: int, leaves: Sequence, node: Node) -> Iterator:
-    if m == 1:
-        yield from leaves
-        return
-    for conn in (AND, OR):
-        for i in range(1, m // 2 + 1):
-            j = m - i
-            if i < j:
-                for left in _gen_comm(i, leaves, node):
-                    for right in _gen_comm(j, leaves, node):
-                        yield node(conn, (left, right))
-            else:
-                # unordered pair from equal sizes: stream by index
-                for idx1, left in enumerate(_gen_comm(i, leaves, node)):
-                    for idx2, right in enumerate(_gen_comm(i, leaves, node)):
-                        if idx2 >= idx1:
-                            yield node(conn, (left, right))
-
-
-def _gen_ac_class(m: int, leaves: Sequence, node: Node, conn: str) -> Iterator:
-    if m == 1:
-        yield from leaves
-        return
-
-    # children: multiset of >= 2 leaf-or-opposite-rooted trees, enumerated as
-    # non-decreasing (size, index) sequences for uniqueness
-    def rec(remaining: int, min_size: int, min_idx: int, acc: list) -> Iterator:
-        # first child must leave room for at least one more
-        top = remaining if acc else remaining - 1
-        for size in range(min_size, top + 1):
-            start = min_idx if size == min_size else 0
-            for idx, child in enumerate(_gen_ac_class(size, leaves, node,
-                                                      opposite(conn))):
-                if idx < start:
-                    continue
-                if size == remaining:
-                    yield node(conn, acc + [child])
-                else:
-                    yield from rec(remaining - size, size, idx, acc + [child])
-
-    yield from rec(m, 1, 0, [])
-
-
-def _gen_assoccomm(m: int, leaves: Sequence, node: Node) -> Iterator:
-    if m == 1:
-        yield from leaves
-        return
-    for conn in (AND, OR):
-        yield from _gen_ac_class(m, leaves, node, conn)
-
-
-_GENERATORS = {
-    ModelId.CATALAN: _gen_catalan,
-    ModelId.ASSOC: _gen_assoc,
-    ModelId.COMM: _gen_comm,
-    ModelId.ASSOC_COMM: _gen_assoccomm,
-}
+        yield from kids(m, 1, 0, [])
 
 
 def generate_trees(model: ModelId, m: int, n: int,
@@ -249,17 +198,23 @@ def generate_trees(model: ModelId, m: int, n: int,
         raise ResourceCapError(
             "generation of %d trees exceeds cap %d" % (total, cap))
     leaves = [Tree.leaf(lit, model) for lit in _literals(n)]
-    return _GENERATORS[model](
-        m, leaves, lambda conn, kids: Tree.internal(conn, kids, model))
+    return _generate(model, m, leaves,
+                     lambda conn, kids: Tree.internal(conn, kids, model))
 
 
 # ---------------------------------------------------------------------------
-# value-annotated DP engines
+# value DP
 #
 # A "value" is any hashable tag computed bottom-up: the truth table for
-# distributions, an or-path state for classifier counts.  Combines must be
-# associative and idempotent on repeated arguments (true for &, | and for
-# the or-path state lattice).
+# distributions, an or-path state for classifier counts.  For each size and
+# connective the DP folds the children's values as a sequence (plane: a first
+# child, then a tail) or as a multiset (non-plane: a knapsack over (size,
+# value) groups whose state carries over from one size to the next).
+# Combines must be associative and commutative.  They need not be
+# idempotent: the classifier's and-combine maps (1,0),(1,0) to (0,0).  So
+# each repeated child of a multiset is folded explicitly, and the Polya
+# exponential, whose z^l terms count l equal children as one, does not carry
+# over to value vectors.
 
 Value = object
 Combine = Callable[[Value, Value], Value]
@@ -273,6 +228,13 @@ def _fold_pairs(va: Vec, vb: Vec, f: Combine, out: Vec) -> None:
             out[key] = out.get(key, 0) + cg * ch
 
 
+def _merged(va: Vec, vb: Vec) -> Vec:
+    out = dict(va)
+    for key, cnt in vb.items():
+        out[key] = out.get(key, 0) + cnt
+    return out
+
+
 def _leaf_vec(n: int, leaf_value: Callable[[Literal], Value]) -> Vec:
     vec: Vec = {}
     for lit in _literals(n):
@@ -281,123 +243,74 @@ def _leaf_vec(n: int, leaf_value: Callable[[Literal], Value]) -> Vec:
     return vec
 
 
-def _dp_catalan(m: int, n: int, leaf_value, f_and: Combine, f_or: Combine) -> list[Vec]:
-    d: list[Vec] = [dict() for _ in range(m + 1)]
-    if m >= 1:
-        d[1] = _leaf_vec(n, leaf_value)
-    for s in range(2, m + 1):
-        out: Vec = {}
-        for i in range(1, s):
-            _fold_pairs(d[i], d[s - i], f_and, out)
-            _fold_pairs(d[i], d[s - i], f_or, out)
-        d[s] = out
-    return d
+def _add_multisets(sets: dict, size: int, kids: Vec, fold: Combine,
+                   binary: bool) -> None:
+    """Let the multisets of children take any number of the kids of one size.
+
+    sets[1][t] and sets[2][t] are the value vectors of the multisets of total
+    size t with one part and with two or more; a binary node takes two.
+    """
+    m = len(sets[1]) - 1
+    for key, cnt in kids.items():
+        # k copies of the group: value key folded k times (combines need not
+        # be idempotent), picked from cnt trees in C(cnt + k - 1, k) ways
+        copies, value, ways = [], key, cnt
+        for k in range(1, (2 if binary else m // size) + 1):
+            copies.append({value: ways})
+            value, ways = fold(value, key), ways * (cnt + k) // (k + 1)
+        # totals descend, so no multiset takes this group twice
+        for t in range(m - size, 0, -1):
+            for parts in (1,) if binary else (1, 2):
+                if not sets[parts][t]:
+                    continue
+                for k, copy in enumerate(copies, 1):
+                    if t + k * size > m or (binary and parts + k > 2):
+                        break
+                    _fold_pairs(copy, sets[parts][t], fold,
+                                sets[min(parts + k, 2)][t + k * size])
+        for k, copy in enumerate(copies, 1):
+            if k * size > m:
+                break
+            out = sets[min(k, 2)][k * size]
+            for value, ways in copy.items():
+                out[value] = out.get(value, 0) + ways
 
 
-def _dp_assoc(m: int, n: int, leaf_value, f_and: Combine, f_or: Combine) -> list[Vec]:
-    leaves = _leaf_vec(n, leaf_value)
-    cls = {AND: [dict() for _ in range(m + 1)], OR: [dict() for _ in range(m + 1)]}
-    seq = {AND: [dict() for _ in range(m + 1)], OR: [dict() for _ in range(m + 1)]}
+def _value_dp(model: ModelId, m: int, n: int, leaf_value,
+              f_and: Combine, f_or: Combine) -> Vec:
+    """Value vector of the model's trees of size m."""
     folds = {AND: f_and, OR: f_or}
-    model_vec: list[Vec] = [dict() for _ in range(m + 1)]
-    if m >= 1:
-        cls[AND][1] = dict(leaves)
-        cls[OR][1] = dict(leaves)
-        model_vec[1] = dict(leaves)
+    trees: list[Vec] = [{}, _leaf_vec(n, leaf_value)]
+    rooted = {AND: [{}, {}], OR: [{}, {}]}
+    # per connective and size: the pool of children; plane models keep the
+    # tails that may follow a first child (one child if binary, one or more
+    # if stratified), non-plane models the multisets of children
+    pool = {AND: [{}], OR: [{}]}
+    tail = {AND: [{}], OR: [{}]}
+    sets = {conn: {1: [{} for _ in range(m + 1)], 2: [{} for _ in range(m + 1)]}
+            for conn in (AND, OR)}
     for s in range(1, m + 1):
-        rooted_by: dict[str, Vec] = {}
+        if s > 1:
+            for conn in (AND, OR):
+                if model.plane:
+                    out: Vec = {}
+                    for i in range(1, s):
+                        _fold_pairs(pool[conn][i], tail[conn][s - i],
+                                    folds[conn], out)
+                else:
+                    # complete: later sizes add only to larger totals
+                    out = sets[conn][2][s]
+                rooted[conn].append(out)
+            trees.append(_merged(rooted[AND][s], rooted[OR][s]))
         for conn in (AND, OR):
-            other = cls[opposite(conn)]
-            # sequences of >= 2 opposite-class children, folded under conn
-            rooted: Vec = {}
-            for i in range(1, s):
-                _fold_pairs(other[i], seq[conn][s - i], folds[conn], rooted)
-            rooted_by[conn] = rooted
-            if s >= 2:
-                for key, cnt in rooted.items():
-                    cls[conn][s][key] = cls[conn][s].get(key, 0) + cnt
-                    model_vec[s][key] = model_vec[s].get(key, 0) + cnt
-        # seq uses the completed same-size opposite class
-        for conn in (AND, OR):
-            sq: Vec = dict(cls[opposite(conn)][s])
-            for key, cnt in rooted_by[conn].items():
-                sq[key] = sq.get(key, 0) + cnt
-            seq[conn][s] = sq
-    return model_vec
-
-
-def _dp_comm(m: int, n: int, leaf_value, f_and: Combine, f_or: Combine) -> list[Vec]:
-    d: list[Vec] = [dict() for _ in range(m + 1)]
-    if m >= 1:
-        d[1] = _leaf_vec(n, leaf_value)
-    for s in range(2, m + 1):
-        out: Vec = {}
-        for i in range(1, (s + 1) // 2):
-            _fold_pairs(d[i], d[s - i], f_and, out)
-            _fold_pairs(d[i], d[s - i], f_or, out)
-        if s % 2 == 0:
-            half = d[s // 2]
-            keys = sorted(half.keys(), key=repr)
-            for a_i, g in enumerate(keys):
-                for h in keys[a_i:]:
-                    if g == h:
-                        ways = _pairs_unordered(half[g])
-                    else:
-                        ways = half[g] * half[h]
-                    for f in (f_and, f_or):
-                        key = f(g, h)
-                        out[key] = out.get(key, 0) + ways
-        d[s] = out
-    return d
-
-
-def _dp_assoccomm(m: int, n: int, leaf_value, f_and: Combine, f_or: Combine) -> list[Vec]:
-    leaves = _leaf_vec(n, leaf_value)
-    cls = {AND: [dict() for _ in range(m + 1)], OR: [dict() for _ in range(m + 1)]}
-    folds = {AND: f_and, OR: f_or}
-    neutral = {AND: "TOP", OR: "TOP"}  # sentinel, replaced on first fold
-    model_vec: list[Vec] = [dict() for _ in range(m + 1)]
-    if m >= 1:
-        cls[AND][1] = dict(leaves)
-        cls[OR][1] = dict(leaves)
-        model_vec[1] = dict(leaves)
-    for s in range(2, m + 1):
-        for conn in (AND, OR):
-            other = cls[opposite(conn)]
-            fold = folds[conn]
-            # dp over item groups (size, value): state (total, value, min(parts,2))
-            dp: dict = {(0, neutral[conn], 0): 1}
-            groups = []
-            for size in range(1, s):
-                for key in sorted(other[size].keys(), key=repr):
-                    groups.append((size, key, other[size][key]))
-            for size, key, cnt in groups:
-                ndp = dict(dp)
-                for (tot, val, parts), ways in dp.items():
-                    k = 1
-                    nval = val
-                    while tot + size * k <= s:
-                        nval = key if nval == neutral[conn] else fold(nval, key)
-                        state = (tot + size * k, nval, min(parts + k, 2))
-                        ndp[state] = ndp.get(state, 0) + ways * comb(cnt + k - 1, k)
-                        k += 1
-                dp = ndp
-            rooted: Vec = {}
-            for (tot, val, parts), ways in dp.items():
-                if tot == s and parts >= 2:
-                    rooted[val] = rooted.get(val, 0) + ways
-            for key, cnt in rooted.items():
-                cls[conn][s][key] = cls[conn][s].get(key, 0) + cnt
-                model_vec[s][key] = model_vec[s].get(key, 0) + cnt
-    return model_vec
-
-
-_DP_ENGINES = {
-    ModelId.CATALAN: _dp_catalan,
-    ModelId.ASSOC: _dp_assoc,
-    ModelId.COMM: _dp_comm,
-    ModelId.ASSOC_COMM: _dp_assoccomm,
-}
+            kids = trees[s] if model.binary or s == 1 else rooted[opposite(conn)][s]
+            pool[conn].append(kids)
+            if model.plane:
+                tail[conn].append(kids if model.binary
+                                  else _merged(kids, rooted[conn][s]))
+            else:
+                _add_multisets(sets[conn], s, kids, folds[conn], model.binary)
+    return trees[m]
 
 
 # ---------------------------------------------------------------------------
@@ -431,17 +344,17 @@ class Distribution:
 
 def distribution(model: ModelId, m: int, n: int) -> Distribution:
     """Exact counts of trees per computed function, via DP over truth tables."""
+    expected = count_trees(model, m, n)  # also rejects m < 1 and n < 1
     if n > 4:
         raise ResourceCapError("distribution DP supports n <= 4")
 
     def leaf_value(lit: Literal) -> int:
         return BoolFunc.from_literal(lit, n).table
 
-    vecs = _DP_ENGINES[model](m, n, leaf_value,
-                              lambda g, h: g & h, lambda g, h: g | h)
-    counts = {BoolFunc(n, tab): cnt for tab, cnt in vecs[m].items() if cnt}
+    vec = _value_dp(model, m, n, leaf_value,
+                    lambda g, h: g & h, lambda g, h: g | h)
+    counts = {BoolFunc(n, tab): cnt for tab, cnt in vec.items() if cnt}
     total = sum(counts.values())
-    expected = count_trees(model, m, n)
     if total != expected:
         raise AssertionError("distribution total %d != count %d" % (total, expected))
     return Distribution(model, m, n, counts, total)
@@ -537,18 +450,20 @@ def classifier_counts(model: ModelId, kind: str, m: int, n: int) -> int:
     """
     if kind not in ("g_x", "st_x"):
         raise DomainError("unknown classifier kind %r" % kind)
+    if m < 1 or n < 1:
+        raise DomainError("m and n must be >= 1")
 
     def leaf_value(lit: Literal):
         if lit.var == 1:
             return (1, 0) if lit.positive else (0, 1)
         return (0, 0)
 
-    vecs = _DP_ENGINES[model](m, n, leaf_value,
-                              lambda g, h: (0, 0),
-                              lambda g, h: (g[0] | h[0], g[1] | h[1]))
+    vec = _value_dp(model, m, n, leaf_value,
+                    lambda g, h: (0, 0),
+                    lambda g, h: (g[0] | h[0], g[1] | h[1]))
     if kind == "st_x":
-        return vecs[m].get((1, 1), 0)
-    return sum(cnt for (a, _b), cnt in vecs[m].items() if a == 1)
+        return vec.get((1, 1), 0)
+    return sum(cnt for (a, _b), cnt in vec.items() if a == 1)
 
 
 def classifier_counts_by_generation(model: ModelId, kind: str, m: int, n: int,

@@ -11,7 +11,7 @@ Counting conventions: a tree with l pattern leaves has
 
 verify_pattern_lemmas checks the three structural facts used throughout
 the asymptotic analysis, by exhausting connective-labelled shapes (the
-tree generators of boolform.exhaustive run over a one-symbol leaf
+tree generator of boolform.exhaustive run over a one-symbol leaf
 alphabet) and vectorizing over all leaf labellings with numpy.
 """
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from .boolfun import Literal
 from .errors import DomainError, ResourceCapError
-from .exhaustive import _GENERATORS
+from .exhaustive import _generate
 from .trees import AND, OR, ModelId, Tree, compute_function
 
 EMBEDDING_CAP = 1_000_000
@@ -329,6 +329,8 @@ def verify_pattern_lemmas(model: ModelId, m: int, n: int) -> LemmaReport:
         False, whatever the placeholders compute;
     (s) stratified models: all S-pattern leaves True forces the tree True.
     """
+    if m < 1 or n < 1:
+        raise DomainError("m and n must be >= 1")
     if n > 2:
         raise ResourceCapError("lemma engine supports n <= 2")
     p = PatternId.N if model.binary else PatternId.R
@@ -361,7 +363,7 @@ def verify_pattern_lemmas(model: ModelId, m: int, n: int) -> LemmaReport:
         leaf_tabs = [lit_table[d] for d in digits]
         var_bits = [np.left_shift(1, d >> 1) for d in digits]
         lit_bits = [np.left_shift(1, d) for d in digits]
-        for shape in _GENERATORS[model](size, (None,), _shape_node):
+        for shape in _generate(model, size, (None,), _shape_node):
             root = _fold_tables(shape, leaf_tabs, [0])
             tauto = root == full
             report.trees_checked += count

@@ -256,20 +256,18 @@ def _cross(model: ModelId, gt: PowerSeries) -> PowerSeries:
     return sq.scale(2) if model.plane else sq
 
 
-def _aux_series(model: ModelId, kind: str, n: int, order: int) -> PowerSeries:
-    """g_x, gbar_x, st_x, stbar_x or h_x, solved afresh."""
+def _aux_series(model: ModelId, n: int, order: int) -> dict:
+    """g_x, gbar_x, st_x, stbar_x and (binary) h_x, solved afresh."""
     full = solve_model_series(model, n, order)
     if model.stratified:
         # or-root children counted by hat: hat - z leaves out the leaf x,
         # hat - 2z both x and ~x
         hat = _solve_base(model, n, order)
         z = PowerSeries.monomial(1, 1, order)
-        if kind in ("g_x", "gbar_x"):
-            g = z + _many(model, hat) - _many(model, hat - z)
-            return g if kind == "g_x" else full - g
+        g = z + _many(model, hat) - _many(model, hat - z)
         st = (_many(model, hat) - _many(model, hat - z).scale(2)
               + _many(model, hat - z.scale(2)))
-        return st if kind == "st_x" else full - st
+        return {"g_x": g, "gbar_x": full - g, "st_x": st, "stbar_x": full - st}
     # binary: an and-root takes any pair, an or-root a pair of trees that
     # (gbar) have no or-path to x or (stbar) are no simple tautology on
     # the variable of x, without the pairs of x-only and ~x-only or-paths
@@ -282,16 +280,9 @@ def _aux_series(model: ModelId, kind: str, n: int, order: int) -> PowerSeries:
         return out if gbar is None else out - _cross(model, s - gbar.truncate(d))
 
     gbar = solve_equation(lambda s: rhs(s, 2 * n - 1), order)
-    if kind == "gbar_x":
-        return gbar
-    if kind == "g_x":
-        return full - gbar
     stbar = solve_equation(lambda s: rhs(s, 2 * n, gbar), order)
-    if kind == "stbar_x":
-        return stbar
-    if kind == "h_x":
-        return _cross(model, stbar - gbar)
-    return full - stbar  # st_x
+    return {"g_x": full - gbar, "gbar_x": gbar, "st_x": full - stbar,
+            "stbar_x": stbar, "h_x": _cross(model, stbar - gbar)}
 
 
 def solve_aux_series(model: ModelId, kind: str, n: int,
@@ -316,12 +307,13 @@ def solve_aux_series(model: ModelId, kind: str, n: int,
         if kind == "simple_x_T":
             return z.scale(c * n) * solve_aux_series(model, "st_x", n, order)
         return z.scale(c) * solve_aux_series(model, "g_x", n, order)
-    return _solve_aux_cached(model, kind, n, order)
+    return _solve_aux_cached(model, n, order)[kind]
 
 
 @lru_cache(maxsize=None)
-def _solve_aux_cached(model: ModelId, kind: str, n: int, order: int) -> PowerSeries:
-    return _aux_series(model, kind, n, order)
+def _solve_aux_cached(model: ModelId, n: int, order: int) -> dict:
+    # every kind comes from one solve, so gbar is solved once for all
+    return _aux_series(model, n, order)
 
 
 # ---------------------------------------------------------------------------

@@ -590,10 +590,13 @@ def _rates(model: ModelId, n: int, precision: int, order: int):
 
 def w_rates(model: ModelId, n: int, precision: int = DEFAULT_PRECISION,
             order: int = DEFAULT_ORDER):
-    """Per-literal rates: w1 ~ P(f = True)·n..., w2 ~ or-path rate.
+    """Per-literal rates w1 = n * lim ST^x_m / T_m and w2 = lim g_x_m / T_m.
 
-    w1 = n * lim ST^x_m / T_m (the probability of computing True is
-    ~ w1/n); w2 = lim g_x_m / T_m.  Both carry the full 1/n dependence.
+    ST^x counts the simple tautologies realized by the variable of x = x1,
+    g_x the trees with an or-only path to x.  w1 sums the simple-tautology
+    rate over the n variables.  n * w1 and n * P_n(True), with P_n(True) =
+    lim_m P_{m,n}(True), share their n -> inf limit but differ at a fixed n.
+    Both rates carry the full 1/n dependence.
     """
     return _rates(model, n, precision, order)
 
@@ -601,7 +604,12 @@ def w_rates(model: ModelId, n: int, precision: int = DEFAULT_PRECISION,
 def probability_true(model: ModelId, n: int,
                      precision: int = DEFAULT_PRECISION,
                      order: int = DEFAULT_ORDER):
-    """Limit of P_{m,n}(True) as m grows: n^2 * lim ST^x_m/T_m ... / n^2."""
+    """n^2 * lim_m ST^{x1}_m / T_m, the scaled simple-tautology rate.
+
+    This is n * w1 (see w_rates).  As n -> inf it has the same limit as
+    n * P_n(True), where P_n(True) = lim_m P_{m,n}(True), but at a fixed n
+    it is a different value.
+    """
     w1, _ = _rates(model, n, precision, order)
     return n * w1
 

@@ -100,6 +100,10 @@ def test_missing_flag_is_usage_error(capsys):
      "--kind", "g_x"],
     ["singularity", "--model", "catalan", "--vars", "0"],
     ["ratio", "--model", "comm", "--vars", "0", "--order", "8"],
+    ["distribution", "--model", "catalan", "--vars", "2", "--size", "-1"],
+    ["distribution", "--model", "comm", "--vars", "0", "--size", "3"],
+    ["verify-lemmas", "--model", "assoc", "--vars", "1", "--max-size", "0"],
+    ["verify-lemmas", "--model", "catalan", "--vars", "0", "--max-size", "3"],
 ])
 def test_out_of_range_vars_or_order_is_usage_error(capsys, argv):
     code, out, err = _capture(capsys, argv)

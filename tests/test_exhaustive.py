@@ -1,9 +1,12 @@
 import hashlib
+import types
+from itertools import combinations
 
 import pytest
 
+from boolform import exhaustive
 from boolform.boolfun import BoolFunc, Literal
-from boolform.errors import ResourceCapError
+from boolform.errors import DomainError, ResourceCapError
 from boolform.exhaustive import (classifier_counts,
                                  classifier_counts_by_generation,
                                  classify_tautologies, count_trees,
@@ -43,6 +46,29 @@ FROZEN_GENERATION_DIGESTS = {
         (3, 2): "7bb2a4d85bb2e08b62fdc85d5e49afb0e09656034a1ec7f41acd1fdff0dbcc4e"},
 }
 
+# sha256 of the value DP's output beyond the sizes generation can check,
+# recorded once and frozen: repr of the sorted (truth table, count) pairs of
+# distribution(model, 8, 3), and repr of the lists classifier_counts(model,
+# kind, m, n) for m = 1..12, one list per n in (1, 2, 3)
+FROZEN_DP_DIGESTS = {
+    ModelId.CATALAN: {
+        "distribution": "6b3373751ca2eb22bebe46453ee81107184434514390d19b11e9635ca65217df",
+        "g_x": "dd4b572a77dc1e5ccd9bffe196bb9ea5fd2a30c7a9ca7b8552ce8d2b619c75f1",
+        "st_x": "4e8358536744087ab3110a07dc85826a683f8e9aced45746d471b4e6bf4c4774"},
+    ModelId.ASSOC: {
+        "distribution": "3716a540f884c3e262af8f1dcf5ac619793dd20d60105ac640e4247d4195dcbf",
+        "g_x": "2904e173c565acec458b4a46081e26e66448e50b1f12f975704a2f3841de7914",
+        "st_x": "04e7030998ff2d6ffa48df4d663a2ef441eb0f618fd929a6dca904a8bf620f5a"},
+    ModelId.COMM: {
+        "distribution": "27c559363e84789249f03ad776fff8e632af7c04c0c5d6f1de78f551a53ffa78",
+        "g_x": "818df3fe6121c9fa6f41fe5e12b721b32050a6b06c797eea853f61b1df859776",
+        "st_x": "688cc915f9de751aab89be179118eb0a8f835ae88e406df4fff974e85af33f21"},
+    ModelId.ASSOC_COMM: {
+        "distribution": "0c9b5da28d91a3e184433c5fdef6b8ef9b14b219046274711be7c98df50d0bb1",
+        "g_x": "cbdb33df8ca33fd429ea83f3e24d6188fbd5cb5324f7ab6b5031d298d1b2f2eb",
+        "st_x": "06aa0424a7e66fd9421d74e9444190d7f465304318f0abc4952d8b4c14e9a3a2"},
+}
+
 
 def test_frozen_counts():
     for (model, m, n), value in FROZEN_COUNTS.items():
@@ -74,6 +100,67 @@ def test_distribution_agrees_with_generation(model):
         gen = distribution_by_generation(model, m, 2)
         assert dp.counts == gen.counts
         assert dp.total == sum(dp.counts.values()) == count_trees(model, m, 2)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_dp_beyond_generation_pinned(model):
+    d = distribution(model, 8, 3)
+    entries = sorted((f.table, c) for f, c in d.counts.items())
+    digests = {"distribution": hashlib.sha256(repr(entries).encode()).hexdigest()}
+    for kind in ("g_x", "st_x"):
+        counts = [[classifier_counts(model, kind, m, n) for m in range(1, 13)]
+                  for n in (1, 2, 3)]
+        digests[kind] = hashlib.sha256(repr(counts).encode()).hexdigest()
+    assert digests == FROZEN_DP_DIGESTS[model]
+
+
+def _oracle_functions(roots):
+    """Functions of exhaustive that roots reference, directly or in turn."""
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        obj = getattr(exhaustive, name)
+        funcs = obj.values() if isinstance(obj, dict) else [obj]
+        codes = [f.__code__ for f in funcs]
+        while codes:
+            code = codes.pop()
+            codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+            for ref in code.co_names:
+                target = getattr(exhaustive, ref, None)
+                targets = target.values() if isinstance(target, dict) else [target]
+                if any(isinstance(t, types.FunctionType)
+                       and t.__module__ == exhaustive.__name__ for t in targets):
+                    todo.append(ref)
+    return seen
+
+
+def test_oracles_share_no_functions():
+    # generation, the value DP and the counting recurrences check each other
+    # only while none of them calls into another
+    counts = {name for name in vars(exhaustive) if name.startswith("_counts_")}
+    oracles = {"generator": _oracle_functions(["_generate"]),
+               "value DP": _oracle_functions(["_value_dp"]),
+               "counts": _oracle_functions(counts)}
+    assert counts and "_fold_pairs" in oracles["value DP"]
+    for a, b in combinations(sorted(oracles), 2):
+        assert not oracles[a] & oracles[b], (a, b, oracles[a] & oracles[b])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: distribution(ModelId.CATALAN, 0, 2),
+    lambda: distribution(ModelId.COMM, -1, 2),
+    lambda: distribution(ModelId.ASSOC, 3, 0),
+    lambda: classifier_counts(ModelId.CATALAN, "g_x", 0, 1),
+    lambda: classifier_counts(ModelId.ASSOC_COMM, "st_x", 3, 0),
+    lambda: classifier_counts_by_generation(ModelId.COMM, "st_x", 0, 1),
+    lambda: classifier_counts_by_generation(ModelId.ASSOC, "g_x", 3, 0),
+])
+def test_out_of_range_sizes_raise(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_distribution_frozen_values():

@@ -3,7 +3,7 @@ from itertools import product
 import pytest
 
 from boolform.errors import DomainError
-from boolform.exhaustive import _GENERATORS
+from boolform.exhaustive import _generate
 from boolform.patterns import (PatternId, _shape_node, count_restrictions,
                                labelling_count, labelling_weight,
                                match_pattern, minimal_embedding, stirling2,
@@ -136,7 +136,7 @@ def test_labelling_count_against_brute_force(l, m, n, v, plane):
 
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_lemmas_hold_at_small_sizes(model):
-    shapes = [list(_GENERATORS[model](m, (None,), _shape_node))
+    shapes = [list(_generate(model, m, (None,), _shape_node))
               for m in range(1, 8)]
     assert [len(s) for s in shapes] == FROZEN_SHAPE_COUNTS[model]
     assert all(len(set(s)) == len(s) for s in shapes)
