@@ -70,12 +70,11 @@ class BoolFunc:
     def from_literal(lit: Literal, n: int) -> "BoolFunc":
         if lit.var > n:
             raise InputError("literal variable exceeds n")
-        size = 1 << n
-        table = 0
-        bit = 1 << (lit.var - 1)
-        for idx in range(size):
-            if bool(idx & bit) == lit.positive:
-                table |= 1 << idx
+        # one period: 2^(v-1) bits off then on (x_v), or on then off (~x_v)
+        half = 1 << (lit.var - 1)
+        table = ((1 << half) - 1) << (half if lit.positive else 0)
+        for k in range(lit.var, n):
+            table |= table << (1 << k)
         return BoolFunc(n, table)
 
     # -- core operations ----------------------------------------------

@@ -6,6 +6,8 @@ three routes, so that each checks the others: tree counts by recurrences
 cap) and one value DP (distribution and classifier_counts, no cap needed).
 Their cores call none of each other's functions; the entry points consult
 count_trees only for the cap, for range checks and to check the DP's total.
+The generator builds each subtree once per call and keeps the lists of the
+trees smaller than the ones it streams; its cap counts both.
 
 The generator and the DP follow one grammar for all four models.  A
 connective node takes its children from one pool (any tree if binary; a leaf
@@ -21,6 +23,7 @@ terms and folds each repeated child explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from math import comb
 from typing import Callable, Iterator, Sequence
@@ -152,48 +155,62 @@ def _literals(n: int) -> list[Literal]:
 Node = Callable[[str, Sequence], object]
 
 
-def _generate(model: ModelId, m: int, leaves: Sequence, node: Node,
-              roots: Sequence[str] = (AND, OR)) -> Iterator:
-    """Trees of size m that are a leaf or rooted by a connective in roots."""
-    if m == 1:
-        yield from leaves
-        return
+def _generate(model: ModelId, m: int, leaves: Sequence, node: Node) -> Iterator:
+    """Trees of size m, streamed.  Each smaller subtree is built once per call,
+    kept in a list per (size, pool) for every choice of its siblings, and
+    dropped when the generator finishes or is closed."""
     plane, binary = model.plane, model.binary
-    for conn in roots:
-        pool = (AND, OR) if binary else (opposite(conn),)
 
-        def kids(remaining: int, lo: int, start: int, acc: list) -> Iterator:
-            # acc holds the children so far; the next has size >= lo, and
-            # index >= start at size lo.  A child that is not the last leaves
-            # room for one more: of any size (plane) or no smaller (non-plane)
-            top = remaining - 1 if plane else remaining // 2
-            for size in range(lo, top + 1):
-                first = start if size == lo else 0
-                for idx, child in islice(enumerate(
-                        _generate(model, size, leaves, node, pool)), first, None):
-                    rest = remaining - size
-                    if binary:
-                        # the second child takes all that remains
-                        for other in islice(_generate(model, rest, leaves, node, pool),
-                                            0 if plane or rest > size else idx, None):
-                            yield node(conn, (child, other))
-                    else:
-                        yield from kids(rest, 1 if plane else size,
-                                        0 if plane else idx, acc + [child])
-            if acc:
-                # the last child takes all that remains
-                first = start if remaining == lo else 0
-                for child in islice(_generate(model, remaining, leaves, node, pool),
-                                    first, None):
-                    yield node(conn, acc + [child])
+    @lru_cache(maxsize=None)
+    def listed(size: int, pool: tuple) -> list:
+        return list(trees(size, pool))
 
-        yield from kids(m, 1, 0, [])
+    def trees(size: int, roots: Sequence[str]) -> Iterator:
+        if size == 1:
+            yield from leaves
+            return
+        for conn in roots:
+            pool = (AND, OR) if binary else (opposite(conn),)
+
+            def kids(remaining: int, lo: int, start: int, acc: list) -> Iterator:
+                # acc holds the children so far; the next has size >= lo, and
+                # index >= start at size lo.  A child that is not the last leaves
+                # room for one more: of any size (plane) or no smaller (non-plane)
+                top = remaining - 1 if plane else remaining // 2
+                for size in range(lo, top + 1):
+                    first = start if size == lo else 0
+                    for idx, child in islice(enumerate(listed(size, pool)),
+                                             first, None):
+                        rest = remaining - size
+                        if binary:
+                            # the second child takes all that remains
+                            for other in islice(listed(rest, pool),
+                                                0 if plane or rest > size else idx,
+                                                None):
+                                yield node(conn, (child, other))
+                        else:
+                            yield from kids(rest, 1 if plane else size,
+                                            0 if plane else idx, acc + [child])
+                if acc:
+                    # the last child takes all that remains
+                    first = start if remaining == lo else 0
+                    for child in islice(listed(remaining, pool), first, None):
+                        yield node(conn, acc + [child])
+
+            yield from kids(size, 1, 0, [])
+
+    try:
+        yield from trees(m, (AND, OR))
+    finally:
+        listed.cache_clear()
 
 
 def generate_trees(model: ModelId, m: int, n: int,
                    cap: int = GENERATION_CAP) -> Iterator[Tree]:
     """Stream every canonical tree exactly once, deterministic order."""
-    total = count_trees(model, m, n)
+    # the trees streamed plus the smaller subtrees listed to build them
+    total = count_trees(model, m, n) + sum(count_trees(model, s, n)
+                                           for s in range(2, m))
     if total > cap:
         raise ResourceCapError(
             "generation of %d trees exceeds cap %d" % (total, cap))

@@ -14,6 +14,8 @@ canonical sorted child order, so structural equality is model equality.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache, reduce
+from operator import and_, or_
 from typing import Iterator, Optional, Sequence, Union
 
 from .boolfun import BoolFunc, Literal
@@ -150,23 +152,30 @@ def canonicalize(raw: RawTree, model: ModelId) -> Tree:
     raise StructureError("unrecognized raw tree: %r" % (raw,))
 
 
+@lru_cache(maxsize=2)
+def _positive_tables(n: int) -> tuple[int, ...]:
+    # x1..xn, kept for the two n (f.n, f.n + 1) that complexity's search and
+    # its expansions alternate between; one n = 24 entry holds 48 MB
+    return tuple(BoolFunc.from_literal(Literal(v), n).table for v in range(1, n + 1))
+
+
 def compute_function(t: Tree, n: Optional[int] = None) -> BoolFunc:
     """Truth table of the function computed by t, on n variables."""
-    maxvar = max(t.variables())
     if n is None:
-        n = maxvar
-    elif n < maxvar:
+        n = max(t.variables())
+    elif n < 1:
         raise InputError("n smaller than largest variable in tree")
+    tables = _positive_tables(n)
     full = (1 << (1 << n)) - 1
 
     def rec(node: Tree) -> int:
-        if node.is_leaf():
-            return BoolFunc.from_literal(node.literal, n).table  # type: ignore[arg-type]
-        tables = [rec(c) for c in node.children]
-        acc = tables[0]
-        for tab in tables[1:]:
-            acc = (acc & tab) if node.conn == AND else (acc | tab)
-        return acc & full
+        lit = node.literal
+        if lit is not None:
+            if lit.var > n:
+                raise InputError("n smaller than largest variable in tree")
+            table = tables[lit.var - 1]
+            return table if lit.positive else table ^ full
+        return reduce(and_ if node.conn == AND else or_, map(rec, node.children))
 
     return BoolFunc(n, rec(t))
 

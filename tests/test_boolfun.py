@@ -19,6 +19,15 @@ def test_truth_table_bit_order():
     assert g.table == 0b1100
 
 
+def test_from_literal_matches_assignment_loop():
+    for n in range(1, 9):
+        for var in range(1, n + 1):
+            for positive in (True, False):
+                table = sum(1 << idx for idx in range(1 << n)
+                            if bool(idx >> (var - 1) & 1) == positive)
+                assert BoolFunc.from_literal(Literal(var, positive), n).table == table
+
+
 def test_worked_example_serialization():
     # x1 | (x2 & x3)
     x1 = BoolFunc.from_literal(Literal(1, True), 3)

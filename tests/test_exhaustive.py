@@ -13,7 +13,8 @@ from boolform.exhaustive import (classifier_counts,
                                  distribution, distribution_by_generation,
                                  generate_trees, is_simple_tautology,
                                  is_simple_x, or_path_literals)
-from boolform.trees import ModelId, compute_function, format_tree, parse_tree
+from boolform.trees import (ModelId, Tree, compute_function, format_tree,
+                            parse_tree)
 
 ALL_MODELS = list(ModelId)
 
@@ -30,20 +31,25 @@ FROZEN_COUNTS = {
 COMM_N2_PREFIX = [4, 20, 160, 1700, 20000, 253760, 3374080]
 
 # sha256 of the newline-joined format_tree sequence of generate_trees(model,
-# m, n), recorded once and frozen: generation order is part of the contract
+# m, n), recorded once and frozen: generation order is part of the contract.
+# The third size of each model reuses listed subtrees below the root.
 FROZEN_GENERATION_DIGESTS = {
     ModelId.CATALAN: {
         (4, 1): "99ee87ec7024426e4fe3f141858fe84e850f382b3dc4856739cbc2ffbdc5e505",
-        (3, 2): "f15cd55e879ffe08e991b4bf7abb2bbf4b76992d5dc41caf9ff64f9ea796280e"},
+        (3, 2): "f15cd55e879ffe08e991b4bf7abb2bbf4b76992d5dc41caf9ff64f9ea796280e",
+        (5, 1): "c817e1aebd7c0ed8990dc84a2b07739a076d22ddee15b4eeb112cd08e6c22f86"},
     ModelId.ASSOC: {
         (4, 1): "442c1ed125d7b12cdc35e3216549b165d29e1e9d92b149b922ef7116fc928c78",
-        (3, 2): "bb0fd1ef637982208830d6d55dd480e6e6d7cd10eb00e6d272217d1a461eefbb"},
+        (3, 2): "bb0fd1ef637982208830d6d55dd480e6e6d7cd10eb00e6d272217d1a461eefbb",
+        (6, 1): "06eeed2c1662ad3a5e4e5d296adac824e79333c5cad3f6e38ef80c1c51bb9a83"},
     ModelId.COMM: {
         (4, 1): "fe78a1e7a8551f6c1c615f4635eabc193764679cb6cc643d1005624eb089ef98",
-        (3, 2): "d6dd87b697aa5787d6c0f0c62efcaad98416e9ee1968690a5dbed28aff1fbc76"},
+        (3, 2): "d6dd87b697aa5787d6c0f0c62efcaad98416e9ee1968690a5dbed28aff1fbc76",
+        (6, 1): "2c5f0e7558b6a620b25b2dbab1c201dd84d0a280fc7072df9672095135b80ad2"},
     ModelId.ASSOC_COMM: {
         (4, 1): "b950b562a1d367a65602dc5865ff2b4410c434982fdf9cf6f47d8848ff095980",
-        (3, 2): "7bb2a4d85bb2e08b62fdc85d5e49afb0e09656034a1ec7f41acd1fdff0dbcc4e"},
+        (3, 2): "7bb2a4d85bb2e08b62fdc85d5e49afb0e09656034a1ec7f41acd1fdff0dbcc4e",
+        (7, 1): "bc4e4b88fb2131792711108d6bd5ad29a9284d4cf7a7b0445f4978ba47b12e13"},
 }
 
 # sha256 of the value DP's output beyond the sizes generation can check,
@@ -91,6 +97,25 @@ def test_generation_matches_counts_and_is_duplicate_free(model):
     for (m, n), digest in FROZEN_GENERATION_DIGESTS[model].items():
         text = "\n".join(format_tree(t) for t in generate_trees(model, m, n))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("model, m, n", [(ModelId.CATALAN, 4, 3),
+                                         (ModelId.ASSOC, 4, 3),
+                                         (ModelId.COMM, 5, 2),
+                                         (ModelId.ASSOC_COMM, 5, 3)])
+def test_generation_builds_each_subtree_once(model, m, n):
+    # every subtree of size >= 2 is built at most once per call
+    calls = 0
+
+    def node(conn, kids):
+        nonlocal calls
+        calls += 1
+        return Tree.internal(conn, kids, model)
+
+    leaves = [Tree.leaf(lit, model) for lit in exhaustive._literals(n)]
+    trees = sum(1 for _ in exhaustive._generate(model, m, leaves, node))
+    assert trees == count_trees(model, m, n)
+    assert calls <= sum(count_trees(model, s, n) for s in range(2, m + 1))
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
@@ -235,6 +260,18 @@ def test_classifier_frozen_values():
 def test_generation_cap_enforced():
     with pytest.raises(ResourceCapError):
         list(generate_trees(ModelId.CATALAN, 12, 2, cap=1000))
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_generation_cap_counts_listed_subtrees(model):
+    # the subtrees listed below the root count against the cap too
+    streamed = count_trees(model, 4, 2)
+    listed = count_trees(model, 2, 2) + count_trees(model, 3, 2)
+    with pytest.raises(ResourceCapError):
+        generate_trees(model, 4, 2, cap=streamed)
+    with pytest.raises(ResourceCapError):
+        generate_trees(model, 4, 2, cap=streamed + listed - 1)
+    assert sum(1 for _ in generate_trees(model, 4, 2, cap=streamed + listed)) == streamed
 
 
 def test_generated_trees_compute_consistent_functions():

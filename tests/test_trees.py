@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from boolform.boolfun import BoolFunc, Literal
+from boolform.errors import InputError
 from boolform.trees import (AND, OR, ModelId, StructureError, Tree,
-                            compute_function, dual_tree, format_tree,
-                            parse_tree)
+                            canonicalize, compute_function, dual_tree,
+                            format_tree, opposite, parse_tree)
 
 
 def leaf(v, pos=True, model=ModelId.CATALAN):
@@ -78,3 +80,46 @@ def test_compute_function_with_explicit_n():
     f = compute_function(t, 3)
     assert f.n == 3
     assert f == BoolFunc.from_literal(Literal(1, True), 3)
+
+
+def test_compute_function_rejects_n_below_largest_variable():
+    t = parse_tree("(and x1 (or ~x3 x2))", ModelId.CATALAN)
+    for n in (2, 1, 0, -1):
+        with pytest.raises(InputError):
+            compute_function(t, n)
+    assert compute_function(t, 3) == compute_function(t)
+
+
+@st.composite
+def small_trees(draw):
+    """(tree, n): a random tree of any model over at most n <= 3 variables."""
+    model = draw(st.sampled_from(list(ModelId)))
+    n = draw(st.integers(1, 3))
+
+    def build(conns, budget):
+        if budget <= 1 or draw(st.booleans()):
+            return Literal(draw(st.integers(1, n)), draw(st.booleans()))
+        conn = draw(st.sampled_from(conns))
+        arity = 2 if model.binary else draw(st.integers(2, 3))
+        kid_conns = (AND, OR) if model.binary else (opposite(conn),)
+        return (conn, [build(kid_conns, budget // arity) for _ in range(arity)])
+
+    return canonicalize(build((AND, OR), 8), model), n
+
+
+def _value(t, bits):
+    if t.is_leaf():
+        return bool(bits[t.literal.var - 1]) == t.literal.positive
+    values = [_value(c, bits) for c in t.children]
+    return all(values) if t.conn == AND else any(values)
+
+
+@given(small_trees())
+def test_compute_function_matches_evaluation_duality_and_lift(tree_n):
+    t, n = tree_n
+    f = compute_function(t, n)
+    for idx in range(1 << n):
+        bits = [(idx >> i) & 1 for i in range(n)]
+        assert f.evaluate(bits) == _value(t, bits)
+    assert compute_function(dual_tree(t), n) == f.negate()
+    assert compute_function(t, n + 1) == f.lift(n + 1)
