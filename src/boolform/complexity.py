@@ -5,7 +5,8 @@ trees.  Non-negligible trees computing f arise from minimal trees by a
 single expansion, either inserting a simple tautology/contradiction
 (T-expansion) or a tree of shape x <> ... for an essential x
 (X-expansion).  Tallying valid expansion sites gives the coefficients
-lambda_T, lambda_X that drive the asymptotic probability of f.
+lambda_T, lambda_X that drive the asymptotic probability of f.  One site
+walk serves all four models and branches only on binary/plane (_sites).
 """
 
 from __future__ import annotations
@@ -56,25 +57,6 @@ def complexity_model_independence(f: BoolFunc, budget: int = SEARCH_BUDGET) -> b
 # expansions
 
 
-def _replace(t: Tree, path: tuple, sub: Tree, model: ModelId) -> Tree:
-    if not path:
-        return sub
-    kids = list(t.children)
-    kids[path[0]] = _replace(kids[path[0]], path[1:], sub, model)
-    return Tree.internal(t.conn, kids, model)
-
-
-def _insert_child(t: Tree, path: tuple, new_child: Tree, pos: int,
-                  model: ModelId) -> Tree:
-    if not path:
-        kids = list(t.children)
-        kids.insert(pos, new_child)
-        return Tree.internal(t.conn, kids, model)
-    kids = list(t.children)
-    kids[path[0]] = _insert_child(kids[path[0]], path[1:], new_child, pos, model)
-    return Tree.internal(t.conn, kids, model)
-
-
 def _witness(kind: str, conn: str, x: Optional[Literal], fresh: int,
              model: ModelId) -> Tree:
     """Smallest legal insert: a two-leaf tree rooted by opposite(conn).
@@ -101,13 +83,41 @@ class ExpansionTally:
     per_tree: list = field(default_factory=list)  # (tree, t_count, x_count)
 
 
-def _binary_sites(t: Tree):
-    """(path, conn, side) triples; side collapses to one slot when non-plane."""
-    sides = (0, 1) if t.model.plane else (0,)
-    for path, _node in t.nodes():
+def _sites(t: Tree):
+    """(conn, build) per expansion site of t: build(w) is t with the witness w
+    placed as a child of a conn-node.
+
+    Any node can be pushed down under a new conn-node beside the witness; in
+    a stratified model conn must differ from the node's connective and its
+    parent's.  In a stratified model an internal node can also take the
+    witness as one more child, at every gap (plane) or in one slot.
+    """
+    model = t.model
+    sides = (0, 1) if model.plane else (0,)
+
+    def walk(node: Tree, parent_conn: Optional[str], rebuild):
+        # rebuild(sub) is t with this node replaced by sub
         for conn in (AND, OR):
-            for side in sides:
-                yield path, conn, side
+            if model.binary or conn not in (node.conn, parent_conn):
+                for side in sides:
+                    def build(w, conn=conn, side=side):
+                        kids = [node, w] if side == 0 else [w, node]
+                        return rebuild(Tree.internal(conn, kids, model))
+                    yield conn, build
+        kids = node.children
+        if kids and not model.binary:
+            for pos in range(len(kids) + 1) if model.plane else (0,):
+                def build(w, pos=pos):
+                    return rebuild(Tree.internal(
+                        node.conn, kids[:pos] + (w,) + kids[pos:], model))
+                yield node.conn, build
+        for i, child in enumerate(kids):
+            def rebuild_child(sub, i=i):
+                return rebuild(Tree.internal(
+                    node.conn, kids[:i] + (sub,) + kids[i + 1:], model))
+            yield from walk(child, node.conn, rebuild_child)
+
+    yield from walk(t, None, lambda sub: sub)
 
 
 def enumerate_expansions(ts: MinimalTreeSet) -> ExpansionTally:
@@ -135,92 +145,14 @@ def enumerate_expansions(ts: MinimalTreeSet) -> ExpansionTally:
 
     for t in ts.trees:
         t_count = x_count = 0
-        if model.binary:
-            for path, conn, side in _binary_sites(t):
-                node = t
-                for i in path:
-                    node = node.children[i]
-                for kind, xs in (("T", [None]), ("X", essential)):
-                    for x in xs:
-                        w = _witness(kind, conn, x, fresh, model)
-                        kids = [node, w] if side == 0 else [w, node]
-                        expanded = _replace(t, path, Tree.internal(conn, kids, model),
-                                            model)
-                        if valid(expanded):
-                            if kind == "T":
-                                t_count += 1
-                            else:
-                                x_count += 1
-        else:
-            t_count, x_count = _stratified_tally(t, essential, fresh, valid)
+        for conn, build in _sites(t):
+            t_count += valid(build(_witness("T", conn, None, fresh, model)))
+            x_count += sum(valid(build(_witness("X", conn, x, fresh, model)))
+                           for x in essential)
         tally.lambda_T += t_count
         tally.lambda_X += x_count
         tally.per_tree.append((t, t_count, x_count))
     return tally
-
-
-def _stratified_tally(t: Tree, essential: Sequence[Literal], fresh: int, valid):
-    """Expansion sites in arity >= 2 models.
-
-    First kind: a new child joins an existing internal node (one slot per
-    gap in the plane model).  Second kind: a leaf, or the root, is pushed
-    down under a new node whose label keeps the tree stratified; a leaf
-    root admits both labels.
-    """
-    model = t.model
-    t_count = x_count = 0
-
-    def tally_node(conn, build) -> tuple[int, int]:
-        tc = xc = 0
-        w = _witness("T", conn, None, fresh, model)
-        if valid(build(w)):
-            tc += 1
-        for x in essential:
-            w = _witness("X", conn, x, fresh, model)
-            if valid(build(w)):
-                xc += 1
-        return tc, xc
-
-    for path, node in t.nodes():
-        if node.is_leaf():
-            if path:
-                parent = t
-                for i in path[:-1]:
-                    parent = parent.children[i]
-                labels = (opposite(parent.conn),)
-            else:
-                labels = (AND, OR)
-            sides = (0, 1) if model.plane else (0,)
-            for conn in labels:
-                for side in sides:
-                    def build(w, path=path, conn=conn, side=side, node=node):
-                        kids = [node, w] if side == 0 else [w, node]
-                        return _replace(t, path, Tree.internal(conn, kids, model),
-                                        model)
-                    tc, xc = tally_node(conn, build)
-                    t_count += tc
-                    x_count += xc
-        else:
-            # first kind: new child of this node
-            slots = range(len(node.children) + 1) if model.plane else (0,)
-            for pos in slots:
-                def build(w, path=path, pos=pos):
-                    return _insert_child(t, path, w, pos, model)
-                tc, xc = tally_node(node.conn, build)
-                t_count += tc
-                x_count += xc
-            if not path:
-                # second kind at an internal root
-                conn = opposite(node.conn)
-                sides = (0, 1) if model.plane else (0,)
-                for side in sides:
-                    def build(w, conn=conn, side=side):
-                        kids = [node, w] if side == 0 else [w, node]
-                        return Tree.internal(conn, kids, model)
-                    tc, xc = tally_node(conn, build)
-                    t_count += tc
-                    x_count += xc
-    return t_count, x_count
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Exhaustive counting, generation and finite-size distributions.
 
 This module is the brute-force oracle for the rest of the package.  It holds
-three routes, so that each checks the others: tree counts by recurrences
+three routes, so that each checks the others: tree counts by one recurrence
 (count_trees), one tree generator (generate_trees, guarded by a configurable
 cap) and one value DP (distribution and classifier_counts, no cap needed).
 Their cores call none of each other's functions; the entry points consult
@@ -9,15 +9,16 @@ count_trees only for the cap, for range checks and to check the DP's total.
 The generator builds each subtree once per call and keeps the lists of the
 trees smaller than the ones it streams; its cap counts both.
 
-The generator and the DP follow one grammar for all four models.  A
-connective node takes its children from one pool (any tree if binary; a leaf
-or a tree rooted by the other connective if stratified), exactly two
-(binary) or at least two (stratified), as a sequence (plane) or as a
-multiset (non-plane).  The DP runs over truth tables for distributions, and
-over classifier states for the counts of trees with an or-only path to a
-fixed literal and of simple tautologies realized by a fixed variable (see
-classifier_counts).  It counts multisets with "choose with repetition"
-terms and folds each repeated child explicitly.
+All three routes follow one grammar for all four models, each in its own
+code.  A connective node takes its children from one pool (any tree if
+binary; a leaf or a tree rooted by the other connective if stratified),
+exactly two (binary) or at least two (stratified), as a sequence (plane) or
+as a multiset (non-plane).  The counts run this grammar over sizes only.
+The DP runs over truth tables for distributions, and over classifier
+states for the counts of trees with an or-only path to a fixed literal and
+of simple tautologies realized by a fixed variable (see classifier_counts).
+It counts multisets with "choose with repetition" terms and folds each
+repeated child explicitly.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 from math import comb
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .boolfun import BoolFunc, Literal
@@ -37,51 +39,6 @@ GENERATION_CAP = 50_000_000
 
 # ---------------------------------------------------------------------------
 # counting
-
-
-def _counts_catalan(m: int, n: int) -> list[int]:
-    t = [0] * (m + 1)
-    if m >= 1:
-        t[1] = 2 * n
-    for s in range(2, m + 1):
-        t[s] = 2 * sum(t[i] * t[s - i] for i in range(1, s))
-    return t
-
-
-def _counts_assoc_half(m: int, n: int) -> list[int]:
-    # hat[s]: trees that are a leaf or rooted by one fixed connective.
-    hat = [0] * (m + 1)
-    q = [0] * (m + 1)  # q = hat/(1-hat), sequences of >= 1 hat-trees
-    for s in range(1, m + 1):
-        r2 = sum(hat[i] * q[s - i] for i in range(1, s))
-        hat[s] = (2 * n if s == 1 else 0) + r2
-        q[s] = hat[s] + r2
-    return hat
-
-
-def _counts_assoc(m: int, n: int) -> list[int]:
-    hat = _counts_assoc_half(m, n)
-    a = [0] * (m + 1)
-    for s in range(1, m + 1):
-        a[s] = 2 * hat[s] - (2 * n if s == 1 else 0)
-    return a
-
-
-def _pairs_unordered(c1: int) -> int:
-    # unordered pairs from c1 objects, repetition allowed
-    return comb(c1 + 1, 2)
-
-
-def _counts_comm(m: int, n: int) -> list[int]:
-    c = [0] * (m + 1)
-    if m >= 1:
-        c[1] = 2 * n
-    for s in range(2, m + 1):
-        pairs = sum(c[i] * c[s - i] for i in range(1, (s + 1) // 2))
-        if s % 2 == 0:
-            pairs += _pairs_unordered(c[s // 2])
-        c[s] = 2 * pairs
-    return c
 
 
 def _multiset_ge2(counts: list[int], m: int) -> int:
@@ -106,34 +63,40 @@ def _multiset_ge2(counts: list[int], m: int) -> int:
     return f[m] - single - (1 if m == 0 else 0)
 
 
-def _counts_assoccomm_half(m: int, n: int) -> list[int]:
-    hat = [0] * (m + 1)
-    for s in range(1, m + 1):
-        hat[s] = (2 * n if s == 1 else 0) + _multiset_ge2(hat, s)
-    return hat
+def _counts(model: ModelId, m: int, n: int) -> list[int]:
+    """c[s] for s <= m: the trees of size s if binary; if stratified, the
+    trees of size s that are a leaf or rooted by one fixed connective.
 
-
-def _counts_assoccomm(m: int, n: int) -> list[int]:
-    hat = _counts_assoccomm_half(m, n)
-    p = [0] * (m + 1)
-    for s in range(1, m + 1):
-        p[s] = 2 * hat[s] - (2 * n if s == 1 else 0)
-    return p
-
-
-_COUNTERS = {
-    ModelId.CATALAN: _counts_catalan,
-    ModelId.ASSOC: _counts_assoc,
-    ModelId.COMM: _counts_comm,
-    ModelId.ASSOC_COMM: _counts_assoccomm,
-}
+    c = 2nz + 2 pairs(c), with ordered pairs c*c or unordered pairs
+    (c*c + c(z^2))/2 (binary); c = 2nz + the sequences (plane) or multisets
+    of >= 2 c-trees (stratified).
+    """
+    binary, plane = model.binary, model.plane
+    c = [0] * (m + 1)
+    c[1] = 2 * n
+    seq = c[:]  # sequences of >= 1 c-trees, for the plane stratified model
+    for s in range(2, m + 1):
+        if binary:
+            # pairs of trees of sizes i < s - i, and of two of size s/2
+            apart = sum(map(mul, c[1:(s + 1) // 2], c[s - 1:s // 2:-1]))
+            same = c[s // 2] if s % 2 == 0 else 0
+            c[s] = 2 * (2 * apart + same * same if plane
+                        else apart + (same * same + same) // 2)
+        elif plane:
+            c[s] = sum(map(mul, c[1:s], seq[s - 1:0:-1]))
+            seq[s] = 2 * c[s]
+        else:
+            c[s] = _multiset_ge2(c, s)
+    return c
 
 
 def count_trees(model: ModelId, m: int, n: int) -> int:
     """Exact number of canonical model trees with m leaves over n variables."""
     if m < 1 or n < 1:
         raise DomainError("m and n must be >= 1")
-    return _COUNTERS[model](m, n)[m]
+    # a stratified tree of size >= 2 has either root connective
+    c = _counts(model, m, n)[m]
+    return c if model.binary or m == 1 else 2 * c
 
 
 # ---------------------------------------------------------------------------

@@ -147,13 +147,9 @@ def count_restrictions(t: Tree, p: PatternId, depth: int = 1) -> RestrictionCoun
     """Repetitions and restrictions; minimal over embeddings if non-plane."""
     _pattern_for(t.model, p)
     essential = compute_function(t).essential_vars()
-    if t.model.plane:
-        m = match_pattern(t, p, depth)
-        reps, total, realized = _restrictions_of(t, frozenset(m.pattern_leaves), essential)
-        return RestrictionCount(reps, total, realized)
-    m = minimal_embedding(t, p, depth)
-    reps, total, realized = _restrictions_of(t, frozenset(m.pattern_leaves), essential)
-    return RestrictionCount(reps, total, realized)
+    m = (match_pattern if t.model.plane else minimal_embedding)(t, p, depth)
+    return RestrictionCount(*_restrictions_of(t, frozenset(m.pattern_leaves),
+                                              essential))
 
 
 def minimal_embedding(t: Tree, p: PatternId, depth: int = 1,

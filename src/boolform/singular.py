@@ -76,22 +76,57 @@ class _SeriesEval:
 #   g, dg:     or-only path to a leaf x1 (g_x)
 
 
-def _eval_catalan(n: int, order: int):
+def _eval_binary(model: ModelId, n: int, order: int):
+    """A node takes a pair of children: pairs(y) = a y^2 + y(z^2)/2, with
+    a = 1 and no z^2 term if plane, a = 1/2 if not (z^2 terms from the
+    truncated series).
+
+    T = 2nz + 2 pairs(T) and gbar = (2n - 1)z + pairs(T) + pairs(gbar) have
+    the form y = P + A y^2, so y = (1 - root)/(2A) with root = sqrt(1 - 4AP)
+    and y' = P'/root.  The trees that are not simple tautologies, stbar =
+    2nz + pairs(T) + 2 pairs(gbar) - pairs(2 gbar - stbar), solve
+    a y^2 + (1 - 4a gbar) y = 2nz + pairs(T) - 2a gbar^2 + stbar(z^2)/2.
+    """
     n_ = mp.mpf(n)
+    a = mp.mpf(1) if model.plane else mp.mpf(1) / 2
+
+    def at_z2(series):
+        # y(z^2) and z y'(z^2), the z^2 terms of pairs(y) and its derivative
+        if model.plane:
+            return (lambda z: 0), (lambda z: 0)
+        s = series()
+        ev, dev = _SeriesEval(s), _SeriesEval(s.derivative())
+        return (lambda z: ev(z * z)), (lambda z: z * dev(z * z))
+
+    t2, dt2 = at_z2(lambda: solve_model_series(model, n, order))
+    gbar2, dgbar2 = at_z2(lambda: solve_aux_series(model, "gbar_x", n, order))
+    stbar2, dstbar2 = at_z2(lambda: solve_aux_series(model, "stbar_x", n, order))
+
+    def pairs(y, y2):
+        return a * y ** 2 + y2 / 2
+
+    def dpairs(y, dy, dy2):
+        return 2 * a * y * dy + dy2
+
+    def root_t(z):
+        return mp.sqrt(1 - 8 * a * 2 * n_ * z - 8 * a * t2(z))
 
     def T(z):
-        return (1 - mp.sqrt(1 - 16 * n_ * z)) / 4
+        return (1 - root_t(z)) / (4 * a)
 
     def dT(z):
-        return 2 * n_ / mp.sqrt(1 - 16 * n_ * z)
+        return (2 * n_ + 2 * dt2(z)) / root_t(z)
+
+    def root_gbar(z):
+        q = (2 * n_ - 1) * z + pairs(T(z), t2(z)) + gbar2(z) / 2
+        return mp.sqrt(1 - 4 * a * q)
 
     def gbar(z):
-        q = (2 * n_ - 1) * z + T(z) ** 2
-        return (1 - mp.sqrt(1 - 4 * q)) / 2
+        return (1 - root_gbar(z)) / (2 * a)
 
     def dgbar(z):
-        q = (2 * n_ - 1) * z + T(z) ** 2
-        return ((2 * n_ - 1) + 2 * T(z) * dT(z)) / mp.sqrt(1 - 4 * q)
+        qp = (2 * n_ - 1) + dpairs(T(z), dT(z), dt2(z)) + dgbar2(z)
+        return qp / root_gbar(z)
 
     def g(z):
         return T(z) - gbar(z)
@@ -101,15 +136,16 @@ def _eval_catalan(n: int, order: int):
 
     def stbar(z):
         gb = gbar(z)
-        q0 = 2 * n_ * z + T(z) ** 2 - 2 * gb ** 2
-        b = 1 - 4 * gb
-        return (-b + mp.sqrt(b * b + 4 * q0)) / 2
+        q = 2 * n_ * z + pairs(T(z), t2(z)) + stbar2(z) / 2 - 2 * a * gb ** 2
+        b = 1 - 4 * a * gb
+        return (-b + mp.sqrt(b * b + 4 * a * q)) / (2 * a)
 
     def dstbar(z):
         gb, dgb = gbar(z), dgbar(z)
         sb = stbar(z)
-        q0p = 2 * n_ + 2 * T(z) * dT(z) - 4 * gb * dgb
-        return (q0p + 4 * dgb * sb) / (2 * sb + 1 - 4 * gb)
+        qp = (2 * n_ + dpairs(T(z), dT(z), dt2(z)) + dstbar2(z)
+              - 4 * a * gb * dgb)
+        return (qp + 4 * a * dgb * sb) / (2 * a * sb + 1 - 4 * a * gb)
 
     def st(z):
         return T(z) - stbar(z)
@@ -162,59 +198,6 @@ def _eval_assoc(n: int, order: int):
         return _dF(h) * dh - 2 * _dF(h - z) * (dh - 1) + _dF(h - 2 * z) * (dh - 2)
 
     return {"T": T, "dT": dT, "st": st, "dst": dst, "g": g, "dg": dg}
-
-
-def _eval_comm(n: int, order: int):
-    n_ = mp.mpf(n)
-    c_series = solve_model_series(ModelId.COMM, n, order)
-    gbar_series = solve_aux_series(ModelId.COMM, "gbar_x", n, order)
-    stbar_series = solve_aux_series(ModelId.COMM, "stbar_x", n, order)
-    ev_c = _SeriesEval(c_series)
-    ev_dc = _SeriesEval(c_series.derivative())
-    ev_gbar = _SeriesEval(gbar_series)
-    ev_dgbar = _SeriesEval(gbar_series.derivative())
-    ev_stbar = _SeriesEval(stbar_series)
-    ev_dstbar = _SeriesEval(stbar_series.derivative())
-
-    def C(z):
-        return (1 - mp.sqrt(1 - 8 * n_ * z - 4 * ev_c(z * z))) / 2
-
-    def dC(z):
-        return (2 * n_ + 2 * z * ev_dc(z * z)) / (1 - 2 * C(z))
-
-    def gbar(z):
-        q = (2 * n_ - 1) * z + (C(z) ** 2 + ev_c(z * z)) / 2 + ev_gbar(z * z) / 2
-        return 1 - mp.sqrt(1 - 2 * q)
-
-    def dgbar(z):
-        qp = (2 * n_ - 1) + C(z) * dC(z) + z * ev_dc(z * z) + z * ev_dgbar(z * z)
-        return qp / (1 - gbar(z))
-
-    def g(z):
-        return C(z) - gbar(z)
-
-    def dg(z):
-        return dC(z) - dgbar(z)
-
-    def stbar(z):
-        gb = gbar(z)
-        q1 = 2 * n_ * z + (C(z) ** 2 + ev_c(z * z)) / 2 + ev_stbar(z * z) / 2
-        b = 1 - 2 * gb
-        return -b + mp.sqrt(b * b + 2 * (q1 - gb * gb))
-
-    def dstbar(z):
-        gb, dgb = gbar(z), dgbar(z)
-        sb = stbar(z)
-        q1p = 2 * n_ + C(z) * dC(z) + z * ev_dc(z * z) + z * ev_dstbar(z * z)
-        return (q1p - 2 * gb * dgb + 2 * dgb * sb) / (sb + 1 - 2 * gb)
-
-    def st(z):
-        return C(z) - stbar(z)
-
-    def dst(z):
-        return dC(z) - dstbar(z)
-
-    return {"T": C, "dT": dC, "st": st, "dst": dst, "g": g, "dg": dg}
 
 
 _TAIL_TERMS_MAX = 6000
@@ -323,17 +306,11 @@ def _eval_assoccomm(n: int, order: int):
     return {"T": T, "dT": dT, "st": st, "dst": dst, "g": g, "dg": dg}
 
 
-_EVAL_FACTORIES = {
-    ModelId.CATALAN: _eval_catalan,
-    ModelId.ASSOC: _eval_assoc,
-    ModelId.COMM: _eval_comm,
-    ModelId.ASSOC_COMM: _eval_assoccomm,
-}
-
-
 def analytic_evaluators(model: ModelId, n: int, order: int = DEFAULT_ORDER):
     """Closed/implicit evaluators for T, ST^x, g_x and their derivatives."""
-    return _EVAL_FACTORIES[model](n, order)
+    if model.binary:
+        return _eval_binary(model, n, order)
+    return (_eval_assoc if model.plane else _eval_assoccomm)(n, order)
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +428,11 @@ def _branch_condition(model: ModelId, n: int, order: int):
     return cond, dcond
 
 
+def _check_precision(precision: int) -> None:
+    if precision < 53:
+        raise DomainError("precision must be >= 53 bits")
+
+
 def dominant_singularity(model: ModelId, n: int,
                          precision: int = DEFAULT_PRECISION,
                          method: Optional[str] = None,
@@ -458,6 +440,7 @@ def dominant_singularity(model: ModelId, n: int,
     """Smallest positive singularity of the model series and its value there."""
     if n < 1:
         raise DomainError("n must be >= 1")
+    _check_precision(precision)
     if method is None:
         method = "closed-form" if model in (ModelId.CATALAN, ModelId.ASSOC) else "numeric-system"
     return _dominant_singularity(model, n, precision, method, order)
@@ -538,6 +521,7 @@ def limiting_ratio(numerator: Evaluator, denominator: Evaluator, rho,
     z -> S'(z).  The ladder is eps_k = eps0 * 2^-k; extrapolation is
     Richardson in sqrt(eps), matching the square-root singular expansion.
     """
+    _check_precision(precision)
     with mp.workprec(precision):
         fnum = _as_derivative_fn(numerator)
         fden = _as_derivative_fn(denominator)
@@ -581,8 +565,8 @@ def _plane_factor(model: ModelId) -> int:
 def _rates(model: ModelId, n: int, precision: int, order: int):
     """(w1, w2) = (n * st-ratio, g-ratio) at this n, high precision."""
     with mp.workprec(precision):
-        ev = analytic_evaluators(model, n, order)
         rho = dominant_singularity(model, n, precision, order=order).rho
+        ev = analytic_evaluators(model, n, order)
         r_st = limiting_ratio(ev["dst"], ev["dT"], rho, precision, kind="st_x").value
         r_g = limiting_ratio(ev["dg"], ev["dT"], rho, precision, kind="g_x").value
         return n * r_st, r_g
@@ -654,8 +638,8 @@ def constant_estimate(model: ModelId, target: str,
     """
     if target not in ("True", "literal"):
         raise DomainError("target must be 'True' or 'literal'")
-    if len(n_grid) < 3:
-        raise DomainError("n_grid needs at least 3 values")
+    if len(set(n_grid)) < 3:
+        raise DomainError("n_grid needs at least 3 distinct values")
     grid = sorted(n_grid)
     with mp.workprec(precision):
         ys = []

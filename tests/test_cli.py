@@ -104,6 +104,10 @@ def test_missing_flag_is_usage_error(capsys):
     ["distribution", "--model", "comm", "--vars", "0", "--size", "3"],
     ["verify-lemmas", "--model", "assoc", "--vars", "1", "--max-size", "0"],
     ["verify-lemmas", "--model", "catalan", "--vars", "0", "--max-size", "3"],
+    ["singularity", "--model", "catalan", "--vars", "3", "--precision", "0"],
+    ["singularity", "--model", "comm", "--vars", "3", "--precision", "-3"],
+    ["ratio", "--model", "assoc", "--vars", "3", "--precision", "1"],
+    ["constants-table", "--n-grid", "5,5,5"],
 ])
 def test_out_of_range_vars_or_order_is_usage_error(capsys, argv):
     code, out, err = _capture(capsys, argv)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from boolform.boolfun import BoolFunc, Literal
@@ -6,7 +8,7 @@ from boolform.complexity import (complexity, complexity_model_independence,
                                  lambda_t_reference, lambda_x_bounds,
                                  probability_vs_bounds)
 from boolform.errors import DomainError, ResourceCapError
-from boolform.trees import ModelId, compute_function
+from boolform.trees import ModelId, compute_function, format_tree
 
 ALL_MODELS = list(ModelId)
 X1 = BoolFunc.from_literal(Literal(1, True), 2)
@@ -54,12 +56,32 @@ def test_search_budget_raises():
         complexity(XOR, ModelId.CATALAN, budget=3)
 
 
+# sha256 of the repr of (lambda_T, lambda_X, per-tree (format_tree, t_count,
+# x_count)) for n:1:2, n:3:ea and the 14 non-constant functions of two
+# variables, recorded once and frozen
+FROZEN_TALLY_DIGESTS = {
+    ModelId.CATALAN: "ebbc78b68cc2e1e156ac0a6f1342adadf2562b52ac4e28c2fb02d326170f08cf",
+    ModelId.ASSOC: "60027eb439afecfdcb37ee7e38047be6f5f2d69ceb659b6eaa1f56a579cb3523",
+    ModelId.COMM: "61fb8caea46d45a67f6a3e80021022a447f50be6a64e401efe814d2cd80fec28",
+    ModelId.ASSOC_COMM: "eb4d4931cd33530894ecf00a1485380e6a2194b5eac0644700bd8250130d1338",
+}
+
+
 def test_expansion_tallies_for_literal():
     expected = {ModelId.CATALAN: (4, 4), ModelId.ASSOC: (4, 4),
                 ModelId.COMM: (2, 2), ModelId.ASSOC_COMM: (2, 2)}
     for model, (lt, lx) in expected.items():
         tally = enumerate_expansions(complexity(X1, model))
         assert (tally.lambda_T, tally.lambda_X) == (lt, lx), model
+    fns = [BoolFunc.from_string("n:1:2"), MAJ3] + [BoolFunc(2, t)
+                                                   for t in range(1, 15)]
+    for model, digest in FROZEN_TALLY_DIGESTS.items():
+        rows = []
+        for f in fns:
+            tally = enumerate_expansions(complexity(f, model))
+            rows.append((tally.lambda_T, tally.lambda_X,
+                         [(format_tree(t), tc, xc) for t, tc, xc in tally.per_tree]))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, model
 
 
 def test_lambda_t_matches_closed_form():

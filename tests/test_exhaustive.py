@@ -30,6 +30,31 @@ FROZEN_COUNTS = {
 
 COMM_N2_PREFIX = [4, 20, 160, 1700, 20000, 253760, 3374080]
 
+# sha256 of repr([count_trees(model, m, n) for m in 1..24]) per n, recorded
+# once and frozen
+FROZEN_COUNT_DIGESTS = {
+    ModelId.CATALAN: {
+        1: "25a5b62f405f9c5eae54d1e56d726656ae3eb66275820ea2e476235de7c4dda7",
+        2: "9db20ecbf42bf075d38df8312860f286b345448419773d0f0992049be2169e68",
+        3: "0cf9ca662df0a40b799ef9f35c6f09c8b73e2a2fde6499629a3899708e6dea12",
+        7: "1b8382b5da0d9fdfe157332ba95086fc419dd58bee739ecc9b52f676c6b59f71"},
+    ModelId.ASSOC: {
+        1: "974e6deda9c48a55bbdebe340c11ce7eba6745912b572756619dbf220b1900d6",
+        2: "220df74947f3c99bd0840331b7ba8aa032ef993558166dd597bcbb12df58baf4",
+        3: "f94f2962d403ccf71334f787b51e43b28ed6dd634fb138ac0de6b72c8fd93b63",
+        7: "e5ed263f4cf04ff55c252c9288a07c0e01ee34f53e11d344abda826f63970856"},
+    ModelId.COMM: {
+        1: "df21f9a12d752da591ce8c6e4fbbb6ada1e664e658239b25e64ddb220d03343e",
+        2: "f699e74427d55e0fdce7b650641cf8921209527ca5bdbf5534eaf5c5d02f8fe1",
+        3: "e8e4fd4dad6c1c86acfc5cd69d5af3a578984b0f0c4a6aea7961a2ce90016805",
+        7: "19a490eaab2603029cf3f85b51eb9e75299acbaf50eb595acc4f9b043c33a1f5"},
+    ModelId.ASSOC_COMM: {
+        1: "bc4808ab435359cb2307709c809d6713c1b45b3ea0cb0805233e66255d8efb61",
+        2: "f92e078cbd140e9e5f38c2e7b7018ee4b1ef1b15e65a364a9fcc99ac7fba50a8",
+        3: "a1f146cec463d5c1b3ac51a0d65860f0e22c01b98d7216213eced6d1ae26ece7",
+        7: "1a694b733c482803b8a300872697b0c587219856914d79f9a36f564f64bb73d5"},
+}
+
 # sha256 of the newline-joined format_tree sequence of generate_trees(model,
 # m, n), recorded once and frozen: generation order is part of the contract.
 # The third size of each model reuses listed subtrees below the root.
@@ -79,6 +104,10 @@ FROZEN_DP_DIGESTS = {
 def test_frozen_counts():
     for (model, m, n), value in FROZEN_COUNTS.items():
         assert count_trees(model, m, n) == value
+    for model, digests in FROZEN_COUNT_DIGESTS.items():
+        for n, digest in digests.items():
+            counts = [count_trees(model, m, n) for m in range(1, 25)]
+            assert hashlib.sha256(repr(counts).encode()).hexdigest() == digest
 
 
 def test_comm_count_sequence_n2():
@@ -165,7 +194,7 @@ def _oracle_functions(roots):
 def test_oracles_share_no_functions():
     # generation, the value DP and the counting recurrences check each other
     # only while none of them calls into another
-    counts = {name for name in vars(exhaustive) if name.startswith("_counts_")}
+    counts = {name for name in vars(exhaustive) if name.startswith("_counts")}
     oracles = {"generator": _oracle_functions(["_generate"]),
                "value DP": _oracle_functions(["_value_dp"]),
                "counts": _oracle_functions(counts)}

@@ -1,10 +1,11 @@
 import dataclasses
+import hashlib
 
 import mpmath as mp
 import pytest
 
 from boolform import singular
-from boolform.errors import NumericError
+from boolform.errors import DomainError, NumericError
 from boolform.series import solve_model_series
 from boolform.singular import (REFERENCE_CONSTANTS, analytic_evaluators,
                                constant_estimate, dominant_singularity,
@@ -68,6 +69,15 @@ def test_limiting_ratio_with_power_series_input():
     assert abs(res.value - 1) < 1e-12
 
 
+@pytest.mark.parametrize("precision", [-3, 0, 1, 52])
+def test_precision_below_53_bits_is_a_domain_error(precision):
+    ev = analytic_evaluators(ModelId.CATALAN, 3)
+    with pytest.raises(DomainError, match="precision"):
+        dominant_singularity(ModelId.COMM, 3, precision)
+    with pytest.raises(DomainError, match="precision"):
+        limiting_ratio(ev["dst"], ev["dT"], mp.mpf(1) / 48, precision)
+
+
 def test_numeric_error_beyond_branch_point():
     ev = analytic_evaluators(ModelId.ASSOC_COMM, 2, 48)
     rep = dominant_singularity(ModelId.ASSOC_COMM, 2, order=48)
@@ -121,6 +131,12 @@ def test_singularity_report_shape():
 # cache must reproduce them. comm's value_at_rho is complex because the
 # square root at rho takes a rounding residue.
 PINNED_REPORTS_N100 = {
+    ModelId.CATALAN: {
+        "rho": "0.000625",
+        "value_at_rho": "0.25",
+        "true_const": "0.73162556696037822726",
+        "literal_const": "0.30697663649036616518",
+    },
     ModelId.COMM: {
         "rho": "0.0012484409067188106195575855947",
         "value_at_rho": "(0.5 - 2.5516389732364512431167060215e-39j)",
@@ -136,6 +152,16 @@ PINNED_REPORTS_N100 = {
 }
 
 
+# sha256 of the repr of T, dT, st, dst, g and dg at n = 100 on the 21 rungs
+# z = rho(1 - 1e-2 2^-k) of limiting_ratio's ladder, per precision in bits,
+# recorded once and frozen: catalan's evaluator is bit for bit the same
+PINNED_EVALUATOR_DIGESTS_N100 = {
+    ModelId.CATALAN: {
+        60: "a856c02bcffdf3923836259808f10385c4927e773f2ef0ddc6da4df92072bc09",
+        256: "1096991804ec683b07fb53995f386f5aee54b293aa9b9635750f7f567ce1f01c"},
+}
+
+
 @pytest.mark.parametrize("model", sorted(PINNED_REPORTS_N100, key=str))
 def test_singularity_report_digits_pinned(model):
     rep = singularity_report(model, 100, 256, 64)
@@ -143,6 +169,14 @@ def test_singularity_report_digits_pinned(model):
            "true_const": rep["ratios"]["true_const"],
            "literal_const": rep["ratios"]["literal_const"]}
     assert got == PINNED_REPORTS_N100[model]
+    for prec, digest in PINNED_EVALUATOR_DIGESTS_N100.get(model, {}).items():
+        with mp.workprec(prec):
+            ev = analytic_evaluators(model, 100)
+            rho = dominant_singularity(model, 100, prec).rho
+            values = [[repr(ev[name](rho * (1 - mp.mpf(1e-2) * mp.mpf(2) ** -k)))
+                       for name in ("T", "dT", "st", "dst", "g", "dg")]
+                      for k in range(21)]
+        assert hashlib.sha256(repr(values).encode()).hexdigest() == digest
 
 
 def test_singularity_report_solves_each_branch_point_once(monkeypatch):
