@@ -262,10 +262,11 @@ def probability_vs_bounds(f: BoolFunc, model: ModelId,
 
     The estimate at each n is rho_n^L (lambda_T w1 + lambda_X w2) n^(L+1)
     with the tallied expansion counts and the limiting ratios w1, w2 of
-    simple tautologies and fixed-literal trees.  With two or more grid
-    points the n -> infinity value is read off a least-squares a + b/n
-    fit, and that limit is what the bound check uses.  When the limit
-    falls outside the bounds, `reason` names the missed bound and the gap.
+    simple tautologies and fixed-literal trees.  With two or more distinct
+    grid points the n -> infinity value is read off a least-squares a + b/n
+    fit (singular.fit_limit), and that limit is what the bound check uses.
+    When the limit falls outside the bounds, `reason` names the missed
+    bound and the gap.
     """
     ts = complexity(f, model)
     tally = enumerate_expansions(ts)
@@ -277,12 +278,9 @@ def probability_vs_bounds(f: BoolFunc, model: ModelId,
         est = rho ** ts.L * (tally.lambda_T * float(w1)
                              + tally.lambda_X * float(w2)) * n ** (ts.L + 1)
         rows.append({"n": n, "rho": rho, "estimate": est})
-    if len(rows) >= 2:
-        import numpy as np
-        ns = np.array([r["n"] for r in rows], dtype=float)
-        ys = np.array([r["estimate"] for r in rows])
-        design = np.vstack([np.ones_like(ns), 1.0 / ns]).T
-        limit = float(np.linalg.lstsq(design, ys, rcond=None)[0][0])
+    if len(set(n_grid)) >= 2:
+        limit = float(singular.fit_limit([r["n"] for r in rows],
+                                         [r["estimate"] for r in rows]))
     else:
         limit = rows[-1]["estimate"]
     # slack covers the residual O(1/n^2) error of the two-term fit

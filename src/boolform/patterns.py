@@ -1,6 +1,10 @@
 """Pattern languages N, R, S: matching, restrictions, half-embeddings.
 
 A pattern decomposes a tree into pattern leaves and placeholder subtrees.
+One decomposition, _shape_cands, serves labelled trees and the unlabelled
+shapes of the lemma verifier alike: it works on a tree's shape and returns
+its pattern leaves as bitmasks (bit i is the i-th leaf in preorder).  The
+placeholders of a tree are the largest subtrees that hold no pattern leaf.
 Matching is deterministic on plane trees; on non-plane trees every child
 ordering induces an embedding and minimal_embedding searches them all.
 
@@ -21,16 +25,19 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from math import comb
-from typing import Optional
 
 import numpy as np
 
-from .boolfun import Literal
+from .boolfun import BoolFunc
 from .errors import DomainError, ResourceCapError
-from .exhaustive import _generate
+from .exhaustive import _generate, _literals, count_trees
 from .trees import AND, OR, ModelId, Tree, compute_function
 
 EMBEDDING_CAP = 1_000_000
+# leaf labellings verify_pattern_lemmas may check: catalan (7, 2) has 1.44e8,
+# (8, 2) 3.74e9 (about a minute); at n = 2 the arrays of one size take about
+# 300 MB at size 10 and 6 GB at size 12
+LEMMA_CAP = 1 << 28
 
 
 class PatternId(Enum):
@@ -61,16 +68,6 @@ class PatternMatch:
     depth: int
     pattern_leaves: tuple  # paths
     placeholders: tuple  # paths of placeholder subtree roots
-    orderings: Optional[dict] = None  # path -> index of the continuing child
-
-    def pattern_literals(self) -> list[Literal]:
-        out = []
-        for path in self.pattern_leaves:
-            node = self.tree
-            for i in path:
-                node = node.children[i]
-            out.append(node.literal)
-        return out
 
 
 @dataclass
@@ -80,98 +77,114 @@ class RestrictionCount:
     realized: set
 
 
-def _candidates(t: Tree, p: PatternId, k: int, path: tuple,
-                free_choice: bool) -> list:
-    """All (pattern-leaf paths, placeholder paths, choices) decompositions.
+def _shape_node(conn: str, kids) -> tuple:
+    # an unlabelled shape is a canonical tree over a one-symbol leaf alphabet
+    return (conn, tuple(kids))
+
+
+def _shape(t: Tree):
+    return None if t.is_leaf() else _shape_node(t.conn, map(_shape, t.children))
+
+
+def _shape_cands(shape, p: PatternId, k: int, start: int, free: bool):
+    """Pattern-leaf bitmasks of a shape whose first leaf is bit start, and
+    its width (number of leaves).
 
     k is the number of additional pattern levels plugged into placeholders
-    (depth = k+1).  With free_choice False the first child continues (the
-    deterministic plane reading); otherwise every child may.
+    (depth = k+1); a subtree reached with k < 0 is a placeholder.  With free
+    False the first child continues (the deterministic plane reading);
+    otherwise every child may.  Each child is decomposed only in the roles
+    it can take.
     """
-    if t.is_leaf():
-        return [(frozenset([path]), frozenset(), {})]
-    kids = t.children
-    if _continues_all(p, t.conn):
-        acc = [(frozenset(), frozenset(), {})]
-        for i, c in enumerate(kids):
-            sub = _candidates(c, p, k, path + (i,), free_choice)
-            acc = [(a | s, b | q, {**ch, **ch2})
-                   for a, b, ch in acc for s, q, ch2 in sub]
-        return acc
-    # one child continues, the others are placeholders
+    if shape is None:
+        return [1 << start if k >= 0 else 0], 1
+    conn, kids = shape
+    every = k < 0 or _continues_all(p, conn)
+    keeps = range(len(kids)) if free and not every else (0,)
+    cont, rest = {}, {}
+    pos = start
+    for i, c in enumerate(kids):
+        if i in keeps:
+            cont[i], width = _shape_cands(c, p, k, pos, free)
+        if i > 0 or len(keeps) > 1:
+            # a child that is not kept continues too, or is one level lower
+            rest[i], width = _shape_cands(c, p, k if every else k - 1, pos, free)
+        pos += width
     out = []
-    choices = range(len(kids)) if free_choice else (0,)
-    for keep in choices:
-        cont = _candidates(kids[keep], p, k, path + (keep,), free_choice)
-        rest = [(frozenset(), frozenset(), {})]
-        for i, c in enumerate(kids):
-            if i == keep:
-                continue
-            if k >= 1:
-                sub = _candidates(c, p, k - 1, path + (i,), free_choice)
-            else:
-                sub = [(frozenset(), frozenset([path + (i,)]), {})]
-            rest = [(a | s, b | q, {**ch, **ch2})
-                    for a, b, ch in rest for s, q, ch2 in sub]
-        for a, b, ch in cont:
-            for a2, b2, ch2 in rest:
-                out.append((a | a2, b | b2, {**ch, **ch2, path: keep}))
-    return out
+    for keep in keeps:
+        acc = cont[keep]
+        for i, sub in rest.items():
+            if i != keep:
+                acc = [a | s for a in acc for s in sub]
+        out.extend(acc)
+    return sorted(set(out)), pos - start
+
+
+def _restrictions_of(mask: int, lits: list, essential: set) -> tuple[int, int, set]:
+    pattern_vars = [lit.var for i, lit in enumerate(lits) if (mask >> i) & 1]
+    distinct = set(pattern_vars)
+    reps = len(pattern_vars) - len(distinct)
+    realized = essential & distinct
+    return reps, reps + len(realized), realized
+
+
+def _masks(t: Tree, p: PatternId, depth: int, free: bool,
+           cap: int = EMBEDDING_CAP) -> list:
+    """Pattern-leaf masks of t: the plane reading, or every embedding if free."""
+    _pattern_for(t.model, p)
+    if depth < 1:
+        raise DomainError("pattern depth must be >= 1")
+    if free:
+        # orderings to search: product of arities over continue-choice nodes
+        total = 1
+        for _, node in t.nodes():
+            if not node.is_leaf() and not _continues_all(p, node.conn):
+                total *= len(node.children)
+                if total > cap:
+                    raise ResourceCapError("embedding search over %d orderings" % total)
+    return _shape_cands(_shape(t), p, depth - 1, 0, free)[0]
+
+
+def _minimal(t: Tree, masks: list) -> tuple[int, tuple[int, int, set]]:
+    """The mask with the fewest restrictions, and its (repetitions,
+    restrictions, realized); ties go to the smallest sorted list of leaf
+    indices."""
+    lits = list(t.leaves())
+    essential = compute_function(t).essential_vars()
+    counts = {mask: _restrictions_of(mask, lits, essential) for mask in masks}
+    best = min(masks, key=lambda mask: (
+        counts[mask][1], [i for i in range(len(lits)) if (mask >> i) & 1]))
+    return best, counts[best]
+
+
+def _match(t: Tree, p: PatternId, depth: int, mask: int) -> PatternMatch:
+    nodes = list(t.nodes())
+    paths = [path for path, node in nodes if node.is_leaf()]
+    leaves = tuple(path for i, path in enumerate(paths) if (mask >> i) & 1)
+    # the pattern enters exactly the ancestors of its leaves
+    entered = {path[:j] for path in leaves for j in range(len(path) + 1)}
+    holes = tuple(path for path, _ in nodes
+                  if path not in entered and path[:-1] in entered)
+    return PatternMatch(t, p, depth, leaves, holes)
 
 
 def match_pattern(t: Tree, p: PatternId, depth: int = 1) -> PatternMatch:
     """Deterministic decomposition; plane models only."""
-    _pattern_for(t.model, p)
     if not t.model.plane:
         raise DomainError("non-plane trees need minimal_embedding")
-    cands = _candidates(t, p, depth - 1, (), free_choice=False)
-    leaves, holes, choices = cands[0]
-    return PatternMatch(t, p, depth, tuple(sorted(leaves)), tuple(sorted(holes)),
-                        choices or None)
-
-
-def _restrictions_of(t: Tree, leaves: frozenset, essential: set) -> tuple[int, int, set]:
-    lits = []
-    for path in leaves:
-        node = t
-        for i in path:
-            node = node.children[i]
-        lits.append(node.literal)
-    pattern_vars = {l.var for l in lits}
-    reps = len(lits) - len(pattern_vars)
-    realized = essential & pattern_vars
-    return reps, reps + len(realized), realized
+    (mask,) = _masks(t, p, depth, False)
+    return _match(t, p, depth, mask)
 
 
 def count_restrictions(t: Tree, p: PatternId, depth: int = 1) -> RestrictionCount:
     """Repetitions and restrictions; minimal over embeddings if non-plane."""
-    _pattern_for(t.model, p)
-    essential = compute_function(t).essential_vars()
-    m = (match_pattern if t.model.plane else minimal_embedding)(t, p, depth)
-    return RestrictionCount(*_restrictions_of(t, frozenset(m.pattern_leaves),
-                                              essential))
+    return RestrictionCount(*_minimal(t, _masks(t, p, depth, not t.model.plane))[1])
 
 
 def minimal_embedding(t: Tree, p: PatternId, depth: int = 1,
                       cap: int = EMBEDDING_CAP) -> PatternMatch:
     """Embedding of a non-plane tree minimizing the restriction count."""
-    _pattern_for(t.model, p)
-    # orderings to search: product of arities over continue-choice nodes
-    total = 1
-    for _, node in t.nodes():
-        if not node.is_leaf() and not _continues_all(p, node.conn):
-            total *= len(node.children)
-            if total > cap:
-                raise ResourceCapError("embedding search over %d orderings" % total)
-    essential = compute_function(t).essential_vars()
-    best = None
-    for leaves, holes, choices in _candidates(t, p, depth - 1, (), free_choice=True):
-        _, total_r, _ = _restrictions_of(t, leaves, essential)
-        if best is None or total_r < best[0]:
-            best = (total_r, leaves, holes, choices)
-    _, leaves, holes, choices = best
-    return PatternMatch(t, p, depth, tuple(sorted(leaves)), tuple(sorted(holes)),
-                        choices or None)
+    return _match(t, p, depth, _minimal(t, _masks(t, p, depth, True, cap))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -229,65 +242,18 @@ def labelling_count(l: int, k: int, m: int, n: int, v: int,
 # vectorized lemma verification
 
 
-def _shape_node(conn: str, kids) -> tuple:
-    # an unlabelled shape is a canonical tree over a one-symbol leaf alphabet
-    return (conn, tuple(kids))
-
-
-def _shape_leaf_count(shape) -> int:
+def _or_path_leaves(shape, start: int) -> tuple[int, int]:
+    """Bitmask of leaves joined to the root by or-only paths, and the width."""
     if shape is None:
-        return 1
-    return sum(_shape_leaf_count(c) for c in shape[1])
-
-
-def _shape_cands(shape, p: PatternId, k: int, start: int, free: bool):
-    """Candidate pattern-leaf index bitmasks (analogue of _candidates)."""
-    if shape is None:
-        return [1 << start], 1
+        return 1 << start, 1
     conn, kids = shape
-    sizes = []
-    pos = start
-    for c in kids:
-        s = _shape_leaf_count(c)
-        sizes.append((c, pos, s))
-        pos += s
-    width = pos - start
-    if _continues_all(p, conn):
-        acc = [0]
-        for c, cpos, _s in sizes:
-            sub, _ = _shape_cands(c, p, k, cpos, free)
-            acc = [a | s for a in acc for s in sub]
-        return sorted(set(acc)), width
-    out = []
-    choices = range(len(kids)) if free else (0,)
-    for keep in choices:
-        cont, _ = _shape_cands(sizes[keep][0], p, k, sizes[keep][1], free)
-        rest = [0]
-        for i, (c, cpos, _s) in enumerate(sizes):
-            if i == keep:
-                continue
-            if k >= 1:
-                sub, _ = _shape_cands(c, p, k - 1, cpos, free)
-            else:
-                sub = [0]
-            rest = [a | s for a in rest for s in sub]
-        out.extend(a | b for a in cont for b in rest)
-    return sorted(set(out)), width
-
-
-def _or_path_leaves(shape, start: int) -> int:
-    """Bitmask of leaves joined to the root by or-only paths."""
-    if shape is None:
-        return 1 << start
-    conn, kids = shape
-    if conn != OR:
-        return 0
     mask = 0
     pos = start
     for c in kids:
-        mask |= _or_path_leaves(c, pos)
-        pos += _shape_leaf_count(c)
-    return mask
+        sub, width = _or_path_leaves(c, pos)
+        mask |= sub
+        pos += width
+    return (mask if conn == OR else 0), pos - start
 
 
 def _fold_tables(shape, leaf_tabs: list, idx: list):
@@ -329,21 +295,20 @@ def verify_pattern_lemmas(model: ModelId, m: int, n: int) -> LemmaReport:
         raise DomainError("m and n must be >= 1")
     if n > 2:
         raise ResourceCapError("lemma engine supports n <= 2")
+    # labellings of the plane counterpart: exact for plane models, an upper
+    # bound otherwise
+    plane = ModelId.CATALAN if model.binary else ModelId.ASSOC
+    total = sum(count_trees(plane, s, n) for s in range(1, m + 1))
+    if total > LEMMA_CAP:
+        raise ResourceCapError(
+            "lemma check of %d labellings exceeds cap %d" % (total, LEMMA_CAP))
     p = PatternId.N if model.binary else PatternId.R
     free = not model.plane
     nlits = 2 * n
-    width = 1 << n
-    full = (1 << width) - 1
-    # leaf truth table per literal digit: var = d >> 1, negated when d & 1
-    lit_table = np.zeros(nlits, dtype=np.uint32)
-    for d in range(nlits):
-        var, neg = d >> 1, d & 1
-        tab = 0
-        for a in range(width):
-            bit = (a >> var) & 1
-            if bit != neg:
-                tab |= 1 << a
-        lit_table[d] = tab
+    full = (1 << (1 << n)) - 1
+    # leaf truth table per literal digit d: var = d >> 1, negated when d & 1
+    lit_table = np.array([BoolFunc.from_literal(lit, n).table
+                          for lit in _literals(n)], dtype=np.uint32)
     pop = np.array([bin(i).count("1") for i in range(1 << n)], dtype=np.int64)
     # simple-tautology LUT over literal-presence masks (bit 2v+neg)
     simple_lut = np.zeros(1 << nlits, dtype=bool)
@@ -400,7 +365,7 @@ def verify_pattern_lemmas(model: ModelId, m: int, n: int) -> LemmaReport:
                     ("tautology-without-restriction", shape, int(codes[sel[b]])))
             ones = np.nonzero(min_reps == 1)[0]
             if len(ones):
-                orp = _or_path_leaves(shape, 0)
+                orp, _w = _or_path_leaves(shape, 0)
                 lmask = np.zeros(len(sel), dtype=np.int64)
                 for i in range(size):
                     if (orp >> i) & 1:

@@ -625,6 +625,17 @@ REFERENCE_CONSTANTS = {
 }
 
 
+def fit_limit(ns, vals):
+    """lam of the least-squares fit y = lam + c/n, at the working precision."""
+    s1 = mp.mpf(len(ns))
+    sx = mp.fsum(1 / mp.mpf(n) for n in ns)
+    sxx = mp.fsum(1 / mp.mpf(n) ** 2 for n in ns)
+    sy = mp.fsum(vals)
+    sxy = mp.fsum(v / mp.mpf(n) for n, v in zip(ns, vals))
+    det = s1 * sxx - sx * sx
+    return (sxx * sy - sx * sxy) / det
+
+
 def constant_estimate(model: ModelId, target: str,
                       n_grid=(100, 200, 400),
                       precision: int = DEFAULT_PRECISION,
@@ -648,19 +659,8 @@ def constant_estimate(model: ModelId, target: str,
                 ys.append(probability_true(model, n, precision, order))
             else:
                 ys.append(probability_literal(model, n, precision, order))
-
-        def fit(ns, vals):
-            # least squares for y = lam + c/n
-            s1 = mp.mpf(len(ns))
-            sx = mp.fsum(1 / mp.mpf(n) for n in ns)
-            sxx = mp.fsum(1 / mp.mpf(n) ** 2 for n in ns)
-            sy = mp.fsum(vals)
-            sxy = mp.fsum(v / mp.mpf(n) for n, v in zip(ns, vals))
-            det = s1 * sxx - sx * sx
-            return (sxx * sy - sx * sxy) / det
-
-        lam = fit(grid, ys)
-        lam2 = fit(grid[1:], ys[1:])
+        lam = fit_limit(grid, ys)
+        lam2 = fit_limit(grid[1:], ys[1:])
         return lam, abs(lam - lam2)
 
 

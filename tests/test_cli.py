@@ -129,3 +129,13 @@ def test_deterministic_output(capsys):
     _, first, _ = _capture(capsys, argv)
     _, second, _ = _capture(capsys, argv)
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-lemmas", "--model", "catalan", "--max-size", "8", "--vars", "2"],
+])
+def test_resource_cap_fires_before_work(capsys, argv):
+    code, out, err = _capture(capsys, argv)
+    assert code == 75
+    assert out == ""
+    assert json.loads(err)["error"] == "resource"

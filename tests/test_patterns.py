@@ -1,14 +1,16 @@
+import hashlib
 from itertools import product
 
 import pytest
 
-from boolform.errors import DomainError
-from boolform.exhaustive import _generate
+from boolform.boolfun import BoolFunc
+from boolform.errors import DomainError, ResourceCapError
+from boolform.exhaustive import _generate, generate_trees, is_simple_tautology
 from boolform.patterns import (PatternId, _shape_node, count_restrictions,
                                labelling_count, labelling_weight,
                                match_pattern, minimal_embedding, stirling2,
                                verify_pattern_lemmas)
-from boolform.trees import ModelId, parse_tree
+from boolform.trees import ModelId, compute_function, parse_tree
 
 ALL_MODELS = list(ModelId)
 
@@ -19,6 +21,24 @@ FROZEN_SHAPE_COUNTS = {
     ModelId.COMM: [1, 2, 4, 14, 44, 164, 616],
     ModelId.ASSOC_COMM: [1, 2, 4, 10, 24, 66, 180],
 }
+
+# sha256 of (pattern leaves, placeholders, repetitions, restrictions, realized)
+# for every tree with m <= 4 (n = 1 plane, n = 2 non-plane), every applicable
+# pattern and depths 1 and 2, recorded before the decomposition was rewritten
+FROZEN_PATTERN_DIGESTS = {
+    ModelId.CATALAN:
+        "8e46b5b102fa6ae51ebd06cfc826fab6addabc8fcd56aaf668bbb3996e3014cb",
+    ModelId.ASSOC:
+        "a90023888896a3cfbbeea58b74dcd1987439e14af493b06e462097eb8c36ef7d",
+    ModelId.COMM:
+        "1727f5ceb27b4a17b3a637f1eec4f0782936e957a70f19020d548f3977cf98a0",
+    ModelId.ASSOC_COMM:
+        "023afc1e9d3733b378fd62977710fb8de52a529297f64db651234275fa768ee3",
+}
+
+
+def _patterns(model):
+    return [PatternId.N] if model.binary else [PatternId.R, PatternId.S]
 
 
 def test_match_pattern_binary_examples():
@@ -147,3 +167,62 @@ def test_lemmas_hold_at_small_sizes(model):
         assert rep.trees_checked == sum(
             c * (2 * n) ** m
             for m, c in enumerate(FROZEN_SHAPE_COUNTS[model][:5], 1))
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_pattern_digests_pinned(model):
+    # ties between minimal embeddings included, e.g. (or (and x1 x2) (and x1 ~x2))
+    match = match_pattern if model.plane else minimal_embedding
+    h = hashlib.sha256()
+    for m in range(1, 5):
+        for t in generate_trees(model, m, 1 if model.plane else 2):
+            for p in _patterns(model):
+                for depth in (1, 2):
+                    pm = match(t, p, depth)
+                    rc = count_restrictions(t, p, depth)
+                    h.update(repr((pm.pattern_leaves, pm.placeholders,
+                                   rc.repetitions, rc.restrictions,
+                                   sorted(rc.realized))).encode())
+    assert h.hexdigest() == FROZEN_PATTERN_DIGESTS[model]
+
+
+@pytest.mark.parametrize("depth", [0, -3])
+def test_depth_below_one_is_domain_error(depth):
+    plane = parse_tree("(and (or x1 x2) x3)", ModelId.CATALAN)
+    other = parse_tree("(and (or x1 x2) x3)", ModelId.COMM)
+    for call, t in [(match_pattern, plane), (minimal_embedding, other),
+                    (count_restrictions, plane), (count_restrictions, other)]:
+        with pytest.raises(DomainError):
+            call(t, PatternId.N, depth)
+
+
+def test_embedding_cap_fires_before_the_search():
+    # 21 nested and-nodes: 2^21 orderings of the keep-one children
+    text = "x1"
+    for _ in range(21):
+        text = "(and x1 %s)" % text
+    t = parse_tree(text, ModelId.COMM)
+    for call in (minimal_embedding, count_restrictions):
+        with pytest.raises(ResourceCapError):
+            call(t, PatternId.N)
+
+
+@pytest.mark.parametrize("model,tautologies", [
+    (ModelId.CATALAN, 1844), (ModelId.ASSOC, 716),
+    (ModelId.COMM, 310), (ModelId.ASSOC_COMM, 98),
+])
+def test_lemmas_a_b_tree_by_tree(model, tautologies):
+    # the vectorized verifier's lemmas (a) and (b), one labelled tree at a
+    # time, against exhaustive's simple-tautology classifier
+    p = _patterns(model)[0]
+    true = BoolFunc.constant(2, True)
+    seen = 0
+    for m in range(1, 5):
+        for t in generate_trees(model, m, 2):
+            if compute_function(t, 2) != true:
+                continue
+            seen += 1
+            r = count_restrictions(t, p, 2).restrictions
+            assert r >= 1, t
+            assert r > 1 or is_simple_tautology(t), t
+    assert seen == tautologies
