@@ -156,50 +156,6 @@ def _eval_binary(model: ModelId, n: int, order: int):
     return {"T": T, "dT": dT, "st": st, "dst": dst, "g": g, "dg": dg}
 
 
-def _F(u):
-    return u * u / (1 - u)
-
-
-def _dF(u):
-    return (2 * u - u * u) / (1 - u) ** 2
-
-
-def _eval_assoc(n: int, order: int):
-    n_ = mp.mpf(n)
-
-    def hat(z):
-        b = 1 + 2 * n_ * z
-        return (b - mp.sqrt(b * b - 16 * n_ * z)) / 4
-
-    def dhat(z):
-        h = hat(z)
-        return 2 * n_ * (1 - h) / (1 + 2 * n_ * z - 4 * h)
-
-    def T(z):
-        return 2 * hat(z) - 2 * n_ * z
-
-    def dT(z):
-        return 2 * dhat(z) - 2 * n_
-
-    def g(z):
-        h = hat(z)
-        return z + _F(h) - _F(h - z)
-
-    def dg(z):
-        h, dh = hat(z), dhat(z)
-        return 1 + _dF(h) * dh - _dF(h - z) * (dh - 1)
-
-    def st(z):
-        h = hat(z)
-        return _F(h) - 2 * _F(h - z) + _F(h - 2 * z)
-
-    def dst(z):
-        h, dh = hat(z), dhat(z)
-        return _dF(h) * dh - 2 * _dF(h - z) * (dh - 1) + _dF(h - 2 * z) * (dh - 2)
-
-    return {"T": T, "dT": dT, "st": st, "dst": dst, "g": g, "dg": dg}
-
-
 _TAIL_TERMS_MAX = 6000
 
 
@@ -229,88 +185,80 @@ def _dlog_pi(ev_dhat, z):
     return _tail_sum(z, lambda l: z ** (l - 1) * ev_dhat(z ** l))
 
 
-def _eval_assoccomm(n: int, order: int):
+def _eval_stratified(model: ModelId, n: int, order: int):
+    """A node takes a sequence (plane) or multiset (non-plane) of >= 2
+    children: many(u) = E(u) - 1 - u, with E(u) = 1/(1 - u) for SEQ and
+    E(u) = e^u Pi(z) for MSET, log Pi(z) = sum over l >= 2 of hat(z^l)/l
+    (the truncated half series).
+
+    hat = 2nz + many(hat) solves E(hat) = 1 + 2 hat - 2nz on its lower
+    branch, hat' = (2n + E_z)/(2 - E_u) and T = 2 hat - 2nz.  With E_k the E
+    of hat - kz, g = E_0 - E_1 and st = E_0 - 2 E_1 + E_2 are evaluated
+    without cancellation as g = z E_0 q1 and st = z^2 E_0 q2: q1 = q2 = 1 for
+    MSET, where E_k = (1 - z)^k E_0, and q1 = E_1, q2 = 2 E_1 E_2 for SEQ.
+    Their derivatives come from log-derivatives.
+    """
     n_ = mp.mpf(n)
-    hat_series = solve_half_series(ModelId.ASSOC_COMM, n, order)
-    ev_hat = _SeriesEval(hat_series)
-    ev_dhat = _SeriesEval(hat_series.derivative())
+    if not model.plane:
+        hat_series = solve_half_series(model, n, order)
+        ev_hat = _SeriesEval(hat_series)
+        ev_dhat = _SeriesEval(hat_series.derivative())
 
-    hat_cache: dict = {}
+    def values(z):
+        if model.plane:
+            b = 1 + 2 * n_ * z
+            hat = (b - mp.sqrt(b * b - 16 * n_ * z)) / 4
+            e0, e1, e2 = 1 / (1 - hat), 1 / (1 - hat + z), 1 / (1 - hat + 2 * z)
+            q1, q2 = e1, 2 * e1 * e2
+        else:
+            pi = mp.exp(_log_pi(ev_hat, z))
+            # E(y) - 1 - 2y + 2nz falls from y = 0 to the branch point E(y) = 2
+            hat = _bisect(lambda y: mp.exp(y) * pi - 1 - 2 * y + 2 * n_ * z,
+                          mp.mpf(0), mp.log(2 / pi))
+            e0, e1, e2 = mp.exp(hat) * pi, None, None
+            q1 = q2 = 1
+        return {"e0": e0, "e1": e1, "e2": e2, "T": 2 * hat - 2 * n_ * z,
+                "g": z * e0 * q1, "st": z * z * e0 * q2}
 
-    def hat(z):
-        # solve y = (exp(y)*Pi(z) - 1 + 2nz)/2 on the lower branch, where
-        # phi(y) = y - rhs is increasing up to the branch point e^y Pi = 2
-        if z in hat_cache:
-            return hat_cache[z]
-        pi = mp.exp(_log_pi(ev_hat, z))
+    def slopes(z, r):
+        e0 = r["e0"]
+        if model.plane:
+            # E_u = E^2, E_z = 0, d log E_k = E_k (hat' - k)
+            dhat = 2 * n_ / (2 - e0 * e0)
+            dlog_e0 = e0 * dhat
+            dlog_q1 = r["e1"] * (dhat - 1)
+            dlog_q2 = dlog_q1 + r["e2"] * (dhat - 2)
+        else:
+            # E_u = E, E_z = E (log Pi)'
+            dlog_pi = _dlog_pi(ev_dhat, z)
+            dhat = (2 * n_ + e0 * dlog_pi) / (2 - e0)
+            dlog_e0 = dhat + dlog_pi
+            dlog_q1 = dlog_q2 = 0
+        return {"dT": 2 * dhat - 2 * n_, "dg": r["g"] * (1 / z + dlog_e0 + dlog_q1),
+                "dst": r["st"] * (2 / z + dlog_e0 + dlog_q2)}
 
-        def phi(y):
-            return y - (mp.exp(y) * pi - 1 + 2 * n_ * z) / 2
+    rungs: dict = {}
 
-        ycrit = mp.log(2 / pi)
-        if phi(ycrit) < 0:
-            raise NumericError("argument beyond the branch point",
-                               diagnostics={"z": float(z)})
-        lo, hi = mp.mpf(0), ycrit
-        for _ in range(mp.mp.prec + 20):
-            mid = (lo + hi) / 2
-            if phi(mid) <= 0:
-                lo = mid
-            else:
-                hi = mid
-        y = (lo + hi) / 2
-        hat_cache[z] = y
-        return y
+    def at(z, derivative):
+        # every quantity at z in one entry; the ladder asks for each rung twice
+        key = (mp.mp.prec, z)
+        r = rungs.get(key)
+        if r is None:
+            r = rungs[key] = values(z)
+        if derivative and "dT" not in r:
+            r.update(slopes(z, r))
+        return r
 
-    dhat_cache: dict = {}
+    def value(name, derivative=False):
+        return lambda z: at(z, derivative)[name]
 
-    def dhat(z):
-        # dT and both _dw need it at every rung
-        if z in dhat_cache:
-            return dhat_cache[z]
-        y = hat(z)
-        e = mp.exp(y) * mp.exp(_log_pi(ev_hat, z))
-        dy = (n_ + e * _dlog_pi(ev_dhat, z) / 2) / (1 - e / 2)
-        dhat_cache[z] = dy
-        return dy
-
-    def T(z):
-        return 2 * hat(z) - 2 * n_ * z
-
-    def dT(z):
-        return 2 * dhat(z) - 2 * n_
-
-    def _w(z, shift: int):
-        # sum over l >= 1 of (hat(z^l) - shift*z^l)/l, exact leading term
-        acc = hat(z) - shift * z
-        acc += _tail_sum(z, lambda l: (ev_hat(z ** l) - shift * z ** l) / l)
-        return acc
-
-    def _dw(z, shift: int):
-        acc = dhat(z) - shift
-        acc += _tail_sum(z, lambda l: z ** (l - 1) * (ev_dhat(z ** l) - shift))
-        return acc
-
-    def g(z):
-        return z / (1 - z) * mp.exp(_w(z, 1))
-
-    def dg(z):
-        return g(z) * (1 / z + 1 / (1 - z) + _dw(z, 1))
-
-    def st(z):
-        return (z / (1 - z)) ** 2 * mp.exp(_w(z, 2))
-
-    def dst(z):
-        return st(z) * (2 / z + 2 / (1 - z) + _dw(z, 2))
-
-    return {"T": T, "dT": dT, "st": st, "dst": dst, "g": g, "dg": dg}
+    return {"T": value("T"), "dT": value("dT", True), "st": value("st"),
+            "dst": value("dst", True), "g": value("g"), "dg": value("dg", True)}
 
 
 def analytic_evaluators(model: ModelId, n: int, order: int = DEFAULT_ORDER):
     """Closed/implicit evaluators for T, ST^x, g_x and their derivatives."""
-    if model.binary:
-        return _eval_binary(model, n, order)
-    return (_eval_assoc if model.plane else _eval_assoccomm)(n, order)
+    return (_eval_binary if model.binary else _eval_stratified)(model, n, order)
 
 
 # ---------------------------------------------------------------------------

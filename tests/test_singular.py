@@ -6,7 +6,7 @@ import pytest
 
 from boolform import singular
 from boolform.errors import DomainError, NumericError
-from boolform.series import solve_model_series
+from boolform.series import solve_aux_series, solve_model_series
 from boolform.singular import (REFERENCE_CONSTANTS, analytic_evaluators,
                                constant_estimate, dominant_singularity,
                                limiting_ratio, probability_literal,
@@ -137,6 +137,12 @@ PINNED_REPORTS_N100 = {
         "true_const": "0.73162556696037822726",
         "literal_const": "0.30697663649036616518",
     },
+    ModelId.ASSOC: {
+        "rho": "0.000857864376269049511983112757903",
+        "value_at_rho": "0.41421356237309504880168872421",
+        "true_const": "0.087884705820937311643",
+        "literal_const": "0.11326710973250175785",
+    },
     ModelId.COMM: {
         "rho": "0.0012484409067188106195575855947",
         "value_at_rho": "(0.5 - 2.5516389732364512431167060215e-39j)",
@@ -177,6 +183,41 @@ def test_singularity_report_digits_pinned(model):
                        for name in ("T", "dT", "st", "dst", "g", "dg")]
                       for k in range(21)]
         assert hashlib.sha256(repr(values).encode()).hexdigest() == digest
+
+
+def _horner(series, z):
+    acc = mp.mpf(0)
+    for c in reversed(series.coeffs):
+        acc = acc * z + mp.mpf(c.numerator) / c.denominator
+    return acc
+
+
+@pytest.mark.parametrize("n", [3, 100])
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_evaluators_match_the_exact_series(model, n):
+    # at z = rho/8 the order-64 truncation is off by about 8^-64, so the
+    # closed and implicit forms must agree with the series far below it
+    series = {"T": solve_model_series(model, n, 64),
+              "st": solve_aux_series(model, "st_x", n, 64),
+              "g": solve_aux_series(model, "g_x", n, 64)}
+    with mp.workprec(256):
+        z = dominant_singularity(model, n, 256, order=64).rho / 8
+        ev = analytic_evaluators(model, n, 64)
+        for name, s in series.items():
+            for key, exact in ((name, s), ("d" + name, s.derivative())):
+                want = _horner(exact, z)
+                assert abs(ev[key](z) - want) < abs(want) * mp.mpf(10) ** -50, key
+
+
+@pytest.mark.parametrize("n", [100, 300])
+@pytest.mark.parametrize("model", [ModelId.ASSOC, ModelId.ASSOC_COMM])
+def test_w_rates_at_60_bits_agree_with_256_bits(model, n):
+    # 60-bit rates keep about 1e-11 relative; forms that cancel lose more
+    lo = w_rates(model, n, 60)
+    hi = w_rates(model, n, 256)
+    with mp.workprec(256):
+        for a, b in zip(lo, hi):
+            assert abs(mp.mpf(a) - b) < abs(b) * mp.mpf("1e-10")
 
 
 def test_singularity_report_solves_each_branch_point_once(monkeypatch):
