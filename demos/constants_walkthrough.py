@@ -13,7 +13,7 @@ the binary plane model's 3/4 and 5/16, because the commutative system
 without its z^2 terms is the plane system under z -> 2z.  The proof is
 in tests/test_comm_limits.py.
 
-Run:  python3 demos/constants_walkthrough.py   (about a minute)
+Run:  python3 demos/constants_walkthrough.py   (about 10 s)
 """
 
 import mpmath as mp

@@ -1,9 +1,13 @@
 """Dominant singularities, values at the singularity, limiting ratios.
 
-Each model's counting series has a square-root dominant singularity on the
-positive axis.  Limiting coefficient ratios S_m/T_m are computed as
-lim_{z->rho} S'(z)/T'(z) on a geometric ladder z = rho(1-eps_k) with
-Richardson extrapolation in sqrt(eps).
+Each model's counting series T has a square-root dominant singularity rho
+on the positive axis, at a branch value tau.  Every class S counted here is
+S = G(z, T) with G analytic at (rho, tau), so the limiting coefficient
+ratio S_m/T_m is dG/dT at (rho, tau) (singularity analysis: Flajolet &
+Sedgewick, Analytic Combinatorics, ch. VI and VII.4).  The rates are read
+there in closed form; limiting_ratio, a geometric ladder z = rho(1 - eps_k)
+on S'(z)/T'(z) with Richardson extrapolation in sqrt(eps), stays as an
+independent check of them.
 
 Near the singularity the truncated series are useless (the tail decays
 like (1-eps)^order), so the evaluators here use the closed radical or
@@ -70,10 +74,10 @@ class _SeriesEval:
 # ---------------------------------------------------------------------------
 # per-model analytic evaluators
 #
-# Each factory returns a dict of closures:
-#   T, dT:     model series and derivative
-#   st, dst:   simple tautologies realized by x1 (ST^x)
-#   g, dg:     or-only path to a leaf x1 (g_x)
+# Each factory returns (values, rates):
+#   values:  closures of z for T (model series), st (simple tautologies
+#            realized by x1, ST^x) and g (or-only path to a leaf x1, g_x)
+#   rates:   rho -> (w1, w2) = (n dst/dT, dg/dT) at the branch point (rho, tau)
 
 
 def _eval_binary(model: ModelId, n: int, order: int):
@@ -82,78 +86,62 @@ def _eval_binary(model: ModelId, n: int, order: int):
     truncated series).
 
     T = 2nz + 2 pairs(T) and gbar = (2n - 1)z + pairs(T) + pairs(gbar) have
-    the form y = P + A y^2, so y = (1 - root)/(2A) with root = sqrt(1 - 4AP)
-    and y' = P'/root.  The trees that are not simple tautologies, stbar =
-    2nz + pairs(T) + 2 pairs(gbar) - pairs(2 gbar - stbar), solve
-    a y^2 + (1 - 4a gbar) y = 2nz + pairs(T) - 2a gbar^2 + stbar(z^2)/2.
+    the form y = P + A y^2, so y = (1 - sqrt(1 - 4AP))/(2A).  The trees that
+    are not simple tautologies, stbar = 2nz + pairs(T) + 2 pairs(gbar) -
+    pairs(2 gbar - stbar), solve a y^2 + (1 - 4a gbar) y = 2nz + pairs(T) -
+    2a gbar^2 + stbar(z^2)/2.  gbar and stbar are written once as functions
+    of (z, T): the values put in T(z), the rates the branch value tau = 1/(4a)
+    where T's square root vanishes.
     """
     n_ = mp.mpf(n)
     a = mp.mpf(1) if model.plane else mp.mpf(1) / 2
 
     def at_z2(series):
-        # y(z^2) and z y'(z^2), the z^2 terms of pairs(y) and its derivative
+        # y(z^2), the z^2 term of pairs(y)
         if model.plane:
-            return (lambda z: 0), (lambda z: 0)
-        s = series()
-        ev, dev = _SeriesEval(s), _SeriesEval(s.derivative())
-        return (lambda z: ev(z * z)), (lambda z: z * dev(z * z))
+            return lambda z: 0
+        ev = _SeriesEval(series())
+        return lambda z: ev(z * z)
 
-    t2, dt2 = at_z2(lambda: solve_model_series(model, n, order))
-    gbar2, dgbar2 = at_z2(lambda: solve_aux_series(model, "gbar_x", n, order))
-    stbar2, dstbar2 = at_z2(lambda: solve_aux_series(model, "stbar_x", n, order))
+    t2 = at_z2(lambda: solve_model_series(model, n, order))
+    gbar2 = at_z2(lambda: solve_aux_series(model, "gbar_x", n, order))
+    stbar2 = at_z2(lambda: solve_aux_series(model, "stbar_x", n, order))
 
     def pairs(y, y2):
         return a * y ** 2 + y2 / 2
 
-    def dpairs(y, dy, dy2):
-        return 2 * a * y * dy + dy2
+    def gbar(z, t):
+        q = (2 * n_ - 1) * z + pairs(t, t2(z)) + gbar2(z) / 2
+        return (1 - mp.sqrt(1 - 4 * a * q)) / (2 * a)
 
-    def root_t(z):
-        return mp.sqrt(1 - 8 * a * 2 * n_ * z - 8 * a * t2(z))
-
-    def T(z):
-        return (1 - root_t(z)) / (4 * a)
-
-    def dT(z):
-        return (2 * n_ + 2 * dt2(z)) / root_t(z)
-
-    def root_gbar(z):
-        q = (2 * n_ - 1) * z + pairs(T(z), t2(z)) + gbar2(z) / 2
-        return mp.sqrt(1 - 4 * a * q)
-
-    def gbar(z):
-        return (1 - root_gbar(z)) / (2 * a)
-
-    def dgbar(z):
-        qp = (2 * n_ - 1) + dpairs(T(z), dT(z), dt2(z)) + dgbar2(z)
-        return qp / root_gbar(z)
-
-    def g(z):
-        return T(z) - gbar(z)
-
-    def dg(z):
-        return dT(z) - dgbar(z)
-
-    def stbar(z):
-        gb = gbar(z)
-        q = 2 * n_ * z + pairs(T(z), t2(z)) + stbar2(z) / 2 - 2 * a * gb ** 2
+    def stbar(z, t, gb):
+        q = 2 * n_ * z + pairs(t, t2(z)) + stbar2(z) / 2 - 2 * a * gb ** 2
         b = 1 - 4 * a * gb
         return (-b + mp.sqrt(b * b + 4 * a * q)) / (2 * a)
 
-    def dstbar(z):
-        gb, dgb = gbar(z), dgbar(z)
-        sb = stbar(z)
-        qp = (2 * n_ + dpairs(T(z), dT(z), dt2(z)) + dstbar2(z)
-              - 4 * a * gb * dgb)
-        return (qp + 4 * a * dgb * sb) / (2 * a * sb + 1 - 4 * a * gb)
+    def T(z):
+        return (1 - mp.sqrt(1 - 8 * a * 2 * n_ * z - 8 * a * t2(z))) / (4 * a)
+
+    def g(z):
+        t = T(z)
+        return t - gbar(z, t)
 
     def st(z):
-        return T(z) - stbar(z)
+        t = T(z)
+        return t - stbar(z, t, gbar(z, t))
 
-    def dst(z):
-        return dT(z) - dstbar(z)
+    def rates(rho):
+        # implicit differentiation of the two quadratics in T, with the z^2
+        # terms held constant, written in g = tau - gbar and s = tau - stbar
+        tau = 1 / (4 * a)
+        gb = gbar(rho, tau)
+        g, s = tau - gb, tau - stbar(rho, tau, gb)
+        w2 = 4 * a * g / (1 + 4 * a * g)
+        w1 = n_ * 4 * a * (s - 4 * a * g * s + 8 * a * g ** 2) / (
+            (1 + 4 * a * g) * (1 - 4 * a * s + 8 * a * g))
+        return w1, w2
 
-    return {"T": T, "dT": dT, "st": st, "dst": dst, "g": g, "dg": dg}
+    return {"T": T, "st": st, "g": g}, rates
 
 
 _TAIL_TERMS_MAX = 6000
@@ -192,73 +180,65 @@ def _eval_stratified(model: ModelId, n: int, order: int):
     (the truncated half series).
 
     hat = 2nz + many(hat) solves E(hat) = 1 + 2 hat - 2nz on its lower
-    branch, hat' = (2n + E_z)/(2 - E_u) and T = 2 hat - 2nz.  With E_k the E
-    of hat - kz, g = E_0 - E_1 and st = E_0 - 2 E_1 + E_2 are evaluated
-    without cancellation as g = z E_0 q1 and st = z^2 E_0 q2: q1 = q2 = 1 for
-    MSET, where E_k = (1 - z)^k E_0, and q1 = E_1, q2 = 2 E_1 E_2 for SEQ.
-    Their derivatives come from log-derivatives.
+    branch and T = 2 hat - 2nz.  With E_k the E of hat - kz, g = E_0 - E_1
+    and st = E_0 - 2 E_1 + E_2 are evaluated without cancellation as
+    g = z E_0 q1 and st = z^2 E_0 q2: q1 = q2 = 1 for MSET, where
+    E_k = (1 - z)^k E_0, and q1 = E_1, q2 = 2 E_1 E_2 for SEQ.  They are
+    written once as functions of (z, E_0, u = 1 - hat): the values put in
+    hat(z), the rates the branch point E_u = 2, where E_0 = sqrt(2) for SEQ
+    and E_0 = 2 for MSET.
     """
     n_ = mp.mpf(n)
     if not model.plane:
-        hat_series = solve_half_series(model, n, order)
-        ev_hat = _SeriesEval(hat_series)
-        ev_dhat = _SeriesEval(hat_series.derivative())
+        ev_hat = _SeriesEval(solve_half_series(model, n, order))
+
+    def parts(z, e0, u):
+        # g, st and their log-slopes in hat: d log E_k/d hat is E_k for SEQ
+        # (E_u = E^2) and 1 for MSET (E_u = E)
+        if model.plane:
+            e1, e2 = 1 / (u + z), 1 / (u + 2 * z)
+            return z * e0 * e1, z * z * e0 * (2 * e1 * e2), e0 + e1, e0 + e1 + e2
+        return z * e0, z * z * e0, 1, 1
 
     def values(z):
         if model.plane:
             b = 1 + 2 * n_ * z
             hat = (b - mp.sqrt(b * b - 16 * n_ * z)) / 4
-            e0, e1, e2 = 1 / (1 - hat), 1 / (1 - hat + z), 1 / (1 - hat + 2 * z)
-            q1, q2 = e1, 2 * e1 * e2
+            e0, u = 1 / (1 - hat), 1 - hat
         else:
             pi = mp.exp(_log_pi(ev_hat, z))
             # E(y) - 1 - 2y + 2nz falls from y = 0 to the branch point E(y) = 2
             hat = _bisect(lambda y: mp.exp(y) * pi - 1 - 2 * y + 2 * n_ * z,
                           mp.mpf(0), mp.log(2 / pi))
-            e0, e1, e2 = mp.exp(hat) * pi, None, None
-            q1 = q2 = 1
-        return {"e0": e0, "e1": e1, "e2": e2, "T": 2 * hat - 2 * n_ * z,
-                "g": z * e0 * q1, "st": z * z * e0 * q2}
+            e0, u = mp.exp(hat) * pi, None
+        g, st, _, _ = parts(z, e0, u)
+        return {"T": 2 * hat - 2 * n_ * z, "g": g, "st": st}
 
-    def slopes(z, r):
-        e0 = r["e0"]
+    def rates(rho):
+        # E_0 at the branch point E_u = 2, and dT/dhat = 2
         if model.plane:
-            # E_u = E^2, E_z = 0, d log E_k = E_k (hat' - k)
-            dhat = 2 * n_ / (2 - e0 * e0)
-            dlog_e0 = e0 * dhat
-            dlog_q1 = r["e1"] * (dhat - 1)
-            dlog_q2 = dlog_q1 + r["e2"] * (dhat - 2)
+            u = 1 / mp.sqrt(2)
+            e0 = 1 / u
         else:
-            # E_u = E, E_z = E (log Pi)'
-            dlog_pi = _dlog_pi(ev_dhat, z)
-            dhat = (2 * n_ + e0 * dlog_pi) / (2 - e0)
-            dlog_e0 = dhat + dlog_pi
-            dlog_q1 = dlog_q2 = 0
-        return {"dT": 2 * dhat - 2 * n_, "dg": r["g"] * (1 / z + dlog_e0 + dlog_q1),
-                "dst": r["st"] * (2 / z + dlog_e0 + dlog_q2)}
+            e0, u = mp.mpf(2), None
+        g, st, dlog_g, dlog_st = parts(rho, e0, u)
+        return n_ * st * dlog_st / 2, g * dlog_g / 2
 
-    rungs: dict = {}
+    return {name: (lambda z, name=name: values(z)[name])
+            for name in ("T", "st", "g")}, rates
 
-    def at(z, derivative):
-        # every quantity at z in one entry; the ladder asks for each rung twice
-        key = (mp.mp.prec, z)
-        r = rungs.get(key)
-        if r is None:
-            r = rungs[key] = values(z)
-        if derivative and "dT" not in r:
-            r.update(slopes(z, r))
-        return r
 
-    def value(name, derivative=False):
-        return lambda z: at(z, derivative)[name]
-
-    return {"T": value("T"), "dT": value("dT", True), "st": value("st"),
-            "dst": value("dst", True), "g": value("g"), "dg": value("dg", True)}
+def _evaluators(model: ModelId, n: int, order: int):
+    return (_eval_binary if model.binary else _eval_stratified)(model, n, order)
 
 
 def analytic_evaluators(model: ModelId, n: int, order: int = DEFAULT_ORDER):
-    """Closed/implicit evaluators for T, ST^x, g_x and their derivatives."""
-    return (_eval_binary if model.binary else _eval_stratified)(model, n, order)
+    """Closed/implicit evaluators z -> T, ST^x and g_x, keyed "T", "st", "g".
+
+    They hold up to the dominant singularity; the z^2 and z^l terms come
+    from the order-`order` series.
+    """
+    return _evaluators(model, n, order)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +413,9 @@ def _dominant_singularity(model: ModelId, n: int, precision: int, method: str,
         if model is ModelId.ASSOC_COMM:
             # at the branch point the half-series value is 1/2 + n*rho
             value = mp.mpf(1) / 2 + n_ * rho
+        elif model is ModelId.ASSOC:
+            # T = 2 hat - 2nz with E(hat) = 1/(1 - hat) = sqrt(2) there
+            value = 2 * (1 - 1 / mp.sqrt(2)) - 2 * n_ * rho
         else:
             value = analytic_evaluators(model, n, order)["T"](rho)
         return SingularityReport(model, n, rho, value, method)
@@ -511,13 +494,15 @@ def _plane_factor(model: ModelId) -> int:
 
 @lru_cache(maxsize=None)
 def _rates(model: ModelId, n: int, precision: int, order: int):
-    """(w1, w2) = (n * st-ratio, g-ratio) at this n, high precision."""
+    """(w1, w2) = (n dST^x/dT, dg_x/dT) at the branch point, high precision."""
     with mp.workprec(precision):
         rho = dominant_singularity(model, n, precision, order=order).rho
-        ev = analytic_evaluators(model, n, order)
-        r_st = limiting_ratio(ev["dst"], ev["dT"], rho, precision, kind="st_x").value
-        r_g = limiting_ratio(ev["dg"], ev["dT"], rho, precision, kind="g_x").value
-        return n * r_st, r_g
+        w1, w2 = _evaluators(model, n, order)[1](rho)
+        if not all(isinstance(w, mp.mpf) and w > 0 for w in (w1, w2)):
+            raise NumericError("branch-point rates are not positive reals",
+                               diagnostics={"model": model.value, "n": n,
+                                            "w1": str(w1), "w2": str(w2)})
+        return w1, w2
 
 
 def w_rates(model: ModelId, n: int, precision: int = DEFAULT_PRECISION,
@@ -529,6 +514,10 @@ def w_rates(model: ModelId, n: int, precision: int = DEFAULT_PRECISION,
     rate over the n variables.  n * w1 and n * P_n(True), with P_n(True) =
     lim_m P_{m,n}(True), share their n -> inf limit but differ at a fixed n.
     Both rates carry the full 1/n dependence.
+
+    Each class is S = G(z, T) with G analytic at T's square-root branch
+    point (rho, tau), so lim S_m/T_m = dG/dT there; tau comes from the
+    branch condition, not from a square root of a vanishing discriminant.
     """
     return _rates(model, n, precision, order)
 
