@@ -1,13 +1,25 @@
 """Exact truncated power series and the model functional equations.
 
-Coefficients are Fractions; every operation is exact to the stored order.
+Coefficients are exact: Python ints where they are integral, Fractions
+where a construction divides.  Series are online (van der Hoeven, "Relax,
+but don't be too lazy", JSC 2002): an operation returns a series whose
+coefficient m is computed when it is first read, from coefficients of its
+operands that are already known, and kept.  Sums, scalings and z^k
+substitutions cost O(1) per coefficient; products, inverses and exp cost
+one O(m) convolution.
+
 The four models differ only in how an internal node takes its children:
 binary models take ordered (plane) or unordered (non-plane) pairs,
 stratified models take sequences or multisets of at least two (`_pairs`
-and `_many`; the SEQ and MSET constructions, the latter through the Polya
-exponential).  Every equation is written so that coefficient m of its
-right-hand side does not depend on coefficient m of the unknown, and is
-solved with one evaluation of the right-hand side per coefficient.
+and `_many`; the SEQ construction through the inverse recurrence of
+1/(1 - s), the MSET construction through the Polya exponential).  Each
+equation is written once, over these operations, so that coefficient m of
+its right-hand side does not read coefficient m of the unknown;
+`solve_equation` applies it to the unknown and takes one O(m) step per
+coefficient, O(order^2) per solve, and `series_sanity` applies it to the
+solved series.  In exp(polya_sum(s)) - 1 - s the term s_m reaches
+coefficient m through both exp and the Polya sum and cancels; `_many`
+cancels it in closed form (`_exp_minus_linear`) instead of reading it.
 """
 
 from __future__ import annotations
@@ -15,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
+from operator import mul
 from typing import Callable
 
 from .errors import DomainError
@@ -23,22 +37,55 @@ from .trees import ModelId
 DEFAULT_ORDER = 64
 
 
-class PowerSeries:
-    """Truncated formal power series with Fraction coefficients."""
+def _exact(c) -> Rational:
+    """c as an int if it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
-    __slots__ = ("coeffs",)
+
+class PowerSeries:
+    """Truncated formal power series with exact coefficients.
+
+    A series made from a coefficient list is known.  One made by an
+    operation is online: coefficient m is computed by `_next(m)` the first
+    time it is read, after coefficients 0..m-1, and kept in `_c`.  `val` is
+    a lower bound on the index of the first nonzero coefficient; products
+    skip the terms it shows to be zero, which keeps an online product from
+    reading ahead.
+    """
+
+    __slots__ = ("_c", "_next", "order", "val")
 
     def __init__(self, coeffs):
-        self.coeffs = [Fraction(c) for c in coeffs]
-        if not self.coeffs:
-            self.coeffs = [Fraction(0)]
+        self._c = [_exact(c) for c in coeffs] or [0]
+        self._next = None
+        self.order = len(self._c) - 1
+        self.val = next((m for m, c in enumerate(self._c) if c),
+                        self.order + 1)
+
+    @classmethod
+    def _online(cls, order: int, val: int,
+                coeff: Callable[[int], Rational] | None) -> "PowerSeries":
+        s = cls.__new__(cls)
+        s._c, s._next, s.order, s.val = [], coeff, order, val
+        return s
+
+    def _upto(self, m: int) -> list:
+        """The coefficient list, computed through index m."""
+        c = self._c
+        while len(c) <= m:
+            k = len(c)
+            c.append(self._next(k) if k >= self.val else 0)
+        return c
 
     @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
+    def coeffs(self) -> list:
+        return self._upto(self.order)
 
-    def __getitem__(self, m: int) -> Fraction:
-        return self.coeffs[m] if 0 <= m <= self.order else Fraction(0)
+    def __getitem__(self, m: int) -> Rational:
+        return self._upto(m)[m] if 0 <= m <= self.order else 0
 
     # -- constructors --------------------------------------------------
 
@@ -48,87 +95,77 @@ class PowerSeries:
 
     @staticmethod
     def monomial(coeff, power: int, order: int) -> "PowerSeries":
-        c = [Fraction(0)] * (order + 1)
+        c = [0] * (order + 1)
         if power <= order:
-            c[power] = Fraction(coeff)
-        return PowerSeries(c)
-
-    def truncate(self, order: int) -> "PowerSeries":
-        c = self.coeffs[: order + 1]
-        c += [Fraction(0)] * (order + 1 - len(c))
+            c[power] = coeff
         return PowerSeries(c)
 
     # -- arithmetic ----------------------------------------------------
 
-    def _order_with(self, other: "PowerSeries") -> int:
-        return min(self.order, other.order)
-
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        d = self._order_with(other)
-        return PowerSeries([self[m] + other[m] for m in range(d + 1)])
+        a, b = self, other
+        return PowerSeries._online(min(a.order, b.order), min(a.val, b.val),
+                                   lambda m: _exact(a._upto(m)[m] + b._upto(m)[m]))
 
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        d = self._order_with(other)
-        return PowerSeries([self[m] - other[m] for m in range(d + 1)])
+        return self + other.scale(-1)
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        d = self._order_with(other)
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (d + 1)
-        for i in range(min(len(a) - 1, d) + 1):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(min(len(b) - 1, d - i) + 1):
-                if b[j]:
-                    out[i + j] += ai * b[j]
-        return PowerSeries(out)
+        a, b = self, other
+        va, vb = a.val, b.val
+
+        def coeff(m):
+            # a_i b_{m-i} for va <= i <= m - vb
+            x, y = a._upto(m - vb), b._upto(m - va)
+            return sum(map(mul, x[va:m - vb + 1], reversed(y[vb:m - va + 1])))
+        return PowerSeries._online(min(a.order, b.order), va + vb, coeff)
 
     def scale(self, factor) -> "PowerSeries":
-        f = Fraction(factor)
-        return PowerSeries([c * f for c in self.coeffs])
+        a, f = self, _exact(factor)
+
+        def coeff(m):
+            c = a._upto(m)[m]
+            return _exact(c * f) if c else 0
+        return PowerSeries._online(a.order, a.val, coeff)
 
     def inverse(self) -> "PowerSeries":
         """Multiplicative inverse; needs a nonzero constant term."""
-        if self.coeffs[0] == 0:
+        a, a0 = self, self[0]
+        if a0 == 0:
             raise DomainError("inverse needs nonzero constant term")
-        d = self.order
-        out = [Fraction(0)] * (d + 1)
-        out[0] = 1 / self.coeffs[0]
-        for m in range(1, d + 1):
-            acc = Fraction(0)
-            for k in range(1, m + 1):
-                acc += self[k] * out[m - k]
-            out[m] = -acc / self.coeffs[0]
-        return PowerSeries(out)
+        out = PowerSeries._online(a.order, 0, None)
+        q = out._c
+        q.append(_exact(Fraction(1, a0)))
+
+        def coeff(m):
+            # a_0 q_m = -(a_1 q_{m-1} + ... + a_m q_0)
+            x = a._upto(m)
+            return _exact(Fraction(-sum(map(mul, x[1:m + 1], reversed(q))), a0))
+        out._next = coeff
+        return out
 
     def exp(self) -> "PowerSeries":
         """exp of a series with zero constant term, via E' = U'E."""
-        if self.coeffs[0] != 0:
-            raise DomainError("exp needs zero constant term")
-        d = self.order
-        out = [Fraction(0)] * (d + 1)
-        out[0] = Fraction(1)
-        for m in range(1, d + 1):
-            acc = Fraction(0)
-            for k in range(1, m + 1):
-                if self[k]:
-                    acc += k * self[k] * out[m - k]
-            out[m] = acc / m
-        return PowerSeries(out)
+        one = PowerSeries.monomial(1, 0, self.order)
+        return one + self + _exp_minus_linear(self)
 
     def substitute_power(self, k: int) -> "PowerSeries":
-        """S(z) -> S(z^k), same truncation order."""
+        """S(z) -> S(z^k), same truncation order.
+
+        Every z^k substitution of the model equations, in pairs and in the
+        Polya sum, is made here.
+        """
         if k < 1:
             raise DomainError("substitution power must be >= 1")
-        d = self.order
-        out = [Fraction(0)] * (d + 1)
-        for m in range(0, d // k + 1):
-            out[m * k] = self[m]
-        return PowerSeries(out)
+        a = self
+        return PowerSeries._online(
+            a.order, a.val * k,
+            lambda m: 0 if m % k else a._upto(m // k)[m // k])
 
     def derivative(self) -> "PowerSeries":
-        return PowerSeries([m * self[m] for m in range(1, self.order + 1)])
+        a = self
+        return PowerSeries._online(max(a.order - 1, 0), 0,
+                                   lambda m: (m + 1) * a[m + 1])
 
     # -- export --------------------------------------------------------
 
@@ -143,42 +180,82 @@ class PowerSeries:
         return "PowerSeries([%s%s])" % (head, ", ..." if self.order > 5 else "")
 
 
+def _exp_minus_linear(u: PowerSeries) -> PowerSeries:
+    """exp(u) - 1 - u; coefficient m reads u_1..u_{m-1} only.
+
+    E' = U'E gives m E_m = sum_{k=1..m} k u_k E_{m-k}, whose k = m term is
+    m u_m, so coefficient m is sum_{k=1..m-1} k u_k E_{m-k} / m, with
+    E_j = u_j + (this series)_j for j >= 1.
+    """
+    if u[0] != 0:
+        raise DomainError("exp needs zero constant term")
+    out = PowerSeries._online(u.order, 2 * max(u.val, 1), None)
+    y = out._c
+    ku, e = [0], [1]  # k u_k and E_k for k < m
+
+    def coeff(m):
+        x = u._upto(m - 1)
+        for j in range(len(e), m):
+            ku.append(_exact(j * x[j]))
+            e.append(_exact(x[j] + y[j]))
+        return _exact(Fraction(sum(map(mul, ku[1:], reversed(e[1:]))), m))
+    out._next = coeff
+    return out
+
+
+def _polya_tail(s: PowerSeries) -> PowerSeries:
+    """Sum over i >= 2 of s(z^i)/i, that is polya_sum(s) - s.
+
+    Coefficient m reads s_{m/i} for the divisors i >= 2 of m, never s_m.
+    """
+    subs = [None, None] + [s.substitute_power(i) for i in range(2, s.order + 1)]
+
+    def coeff(m):
+        # s(z^i) has no z^m term unless i divides m
+        return _exact(sum(Fraction(subs[i]._upto(m)[m], i)
+                          for i in range(2, m + 1) if m % i == 0))
+    return PowerSeries._online(s.order, 2 * s.val, coeff)
+
+
 def polya_sum(s: PowerSeries) -> PowerSeries:
     """Sum over i >= 1 of s(z^i)/i; s must have zero constant term."""
-    if s.coeffs[0] != 0:
+    if s[0] != 0:
         raise DomainError("polya_sum needs zero constant term")
-    d = s.order
-    out = [Fraction(0)] * (d + 1)
-    for i in range(1, d + 1):
-        for m in range(1, d // i + 1):
-            if s[m]:
-                out[m * i] += s[m] / i
-    return PowerSeries(out)
+    return s + _polya_tail(s)
 
 
 def log_one_minus_z(order: int) -> PowerSeries:
     """Truncation of -log(1-z) = sum z^l/l."""
-    return PowerSeries([Fraction(0)] + [Fraction(1, l) for l in range(1, order + 1)])
+    return PowerSeries([0] + [Fraction(1, l) for l in range(1, order + 1)])
 
 
 # ---------------------------------------------------------------------------
 # fixed-point solver
 
 
+def _read_ahead(m: int) -> Rational:
+    raise DomainError("coefficient %d of the right-hand side reads "
+                      "coefficient %d of the unknown" % (m, m))
+
+
 def solve_equation(rhs: Callable[[PowerSeries], PowerSeries],
                    order: int) -> PowerSeries:
-    """Solve S = rhs(S) with S_0 = 0, one coefficient at a time.
+    """Solve S = rhs(S) with S_0 = 0, one O(m) step per coefficient.
 
-    Coefficient m of rhs(S) must depend only on S_1..S_{m-1}; S_m is then
-    coefficient m of rhs applied to the solution so far, one evaluation per
-    coefficient.  The solution is put back into the equation once at full
-    order, and DomainError is raised if any coefficient is off, as it is
-    when coefficient m of rhs(S) also depends on S_m.
+    rhs is applied once, to the online unknown S, and coefficient m of its
+    result is read after S_1..S_{m-1}; that is S_m.  Each operation in rhs
+    computes its coefficient m from coefficients already known, with one
+    convolution at most, so the solve costs O(order^2).  Reading S_m while
+    computing coefficient m of rhs(S) raises DomainError.  The solution is
+    then put back into the equation at full order, one more O(order^2)
+    pass, and DomainError is raised if any coefficient is off.
     """
-    coeffs = [Fraction(0)] * (order + 1)
+    unknown = PowerSeries._online(order, 1, _read_ahead)
+    known = unknown._upto(0)  # S_0 = 0, below val
+    right = rhs(unknown)
     for m in range(1, order + 1):
-        coeffs[m] = rhs(PowerSeries(coeffs[: m + 1]))[m]
-    s = PowerSeries(coeffs)
+        known.append(right[m])
+    s = PowerSeries(known)
     off = [m for m, c in enumerate((rhs(s) - s).coeffs) if c]
     if off:
         raise DomainError("equation not solved at coefficient %d" % off[0])
@@ -197,11 +274,17 @@ def _pairs(model: ModelId, s: PowerSeries) -> PowerSeries:
 
 
 def _many(model: ModelId, s: PowerSeries) -> PowerSeries:
-    """Sequences (plane) or multisets (non-plane) of >= 2 s-structures."""
-    one = PowerSeries.monomial(1, 0, s.order)
+    """Sequences (plane) or multisets (non-plane) of >= 2 s-structures.
+
+    SEQ is s^2/(1 - s).  MSET is exp(polya_sum(s)) - 1 - s, written as
+    exp(u) - 1 - u plus the Polya tail u - s, u = polya_sum(s), so that
+    coefficient m reads no s_m.
+    """
     if model.plane:
+        one = PowerSeries.monomial(1, 0, s.order)
         return (s * s) * (one - s).inverse()
-    return polya_sum(s).exp() - one - s
+    tail = _polya_tail(s)
+    return _exp_minus_linear(s + tail) + tail
 
 
 def _base_rhs(model: ModelId, n: int):
@@ -229,6 +312,12 @@ def _solve_base(model: ModelId, n: int, order: int) -> PowerSeries:
     return solve_equation(_base_rhs(model, n), order)
 
 
+def _known(s: PowerSeries) -> PowerSeries:
+    # computed in full here, so that the time is spent in the solve and the
+    # cached result holds no operands
+    return PowerSeries(s.coeffs)
+
+
 def solve_half_series(model: ModelId, n: int, order: int = DEFAULT_ORDER) -> PowerSeries:
     """Leaf-or-single-connective class series (stratified models only)."""
     if not model.stratified:
@@ -240,7 +329,7 @@ def solve_model_series(model: ModelId, n: int, order: int = DEFAULT_ORDER) -> Po
     """Counting series of the model."""
     base = _solve_base(model, n, order)
     if model.stratified:
-        return base.scale(2) - PowerSeries.monomial(2 * n, 1, order)
+        return _known(base.scale(2) - PowerSeries.monomial(2 * n, 1, order))
     return base
 
 
@@ -264,25 +353,28 @@ def _aux_series(model: ModelId, n: int, order: int) -> dict:
         # hat - 2z both x and ~x
         hat = _solve_base(model, n, order)
         z = PowerSeries.monomial(1, 1, order)
-        g = z + _many(model, hat) - _many(model, hat - z)
-        st = (_many(model, hat) - _many(model, hat - z).scale(2)
-              + _many(model, hat - z.scale(2)))
-        return {"g_x": g, "gbar_x": full - g, "st_x": st, "stbar_x": full - st}
+        many = _many(model, hat)
+        many_x = _many(model, hat - z)
+        many_xx = _many(model, hat - z.scale(2))
+        g = _known(z + many - many_x)
+        st = _known(many - many_x.scale(2) + many_xx)
+        return {"g_x": g, "gbar_x": _known(full - g), "st_x": st,
+                "stbar_x": _known(full - st)}
     # binary: an and-root takes any pair, an or-root a pair of trees that
     # (gbar) have no or-path to x or (stbar) are no simple tautology on
     # the variable of x, without the pairs of x-only and ~x-only or-paths
     pairs_full = _pairs(model, full)
 
     def rhs(s: PowerSeries, leaves: int, gbar=None) -> PowerSeries:
-        d = s.order
-        out = (PowerSeries.monomial(leaves, 1, d) + pairs_full.truncate(d)
+        out = (PowerSeries.monomial(leaves, 1, s.order) + pairs_full
                + _pairs(model, s))
-        return out if gbar is None else out - _cross(model, s - gbar.truncate(d))
+        return out if gbar is None else out - _cross(model, s - gbar)
 
     gbar = solve_equation(lambda s: rhs(s, 2 * n - 1), order)
     stbar = solve_equation(lambda s: rhs(s, 2 * n, gbar), order)
-    return {"g_x": full - gbar, "gbar_x": gbar, "st_x": full - stbar,
-            "stbar_x": stbar, "h_x": _cross(model, stbar - gbar)}
+    return {"g_x": _known(full - gbar), "gbar_x": gbar,
+            "st_x": _known(full - stbar), "stbar_x": stbar,
+            "h_x": _known(_cross(model, stbar - gbar))}
 
 
 def solve_aux_series(model: ModelId, kind: str, n: int,
@@ -305,8 +397,9 @@ def solve_aux_series(model: ModelId, kind: str, n: int,
         c = 4 if model.plane else 2
         z = PowerSeries.monomial(1, 1, order)
         if kind == "simple_x_T":
-            return z.scale(c * n) * solve_aux_series(model, "st_x", n, order)
-        return z.scale(c) * solve_aux_series(model, "g_x", n, order)
+            return _known(z.scale(c * n)
+                          * solve_aux_series(model, "st_x", n, order))
+        return _known(z.scale(c) * solve_aux_series(model, "g_x", n, order))
     return _solve_aux_cached(model, n, order)[kind]
 
 
@@ -325,7 +418,7 @@ class SanityReport:
     model: ModelId
     n: int
     order: int
-    max_discrepancy: Fraction
+    max_discrepancy: Rational
     checks: dict
 
     @property

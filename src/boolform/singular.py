@@ -35,7 +35,7 @@ DEFAULT_PRECISION = 256
 class _SeriesEval:
     """Horner evaluator of a truncated series at mpf arguments.
 
-    Each Fraction coefficient is converted to mpf once per working precision,
+    Each exact coefficient is converted to mpf once per working precision,
     as mpf(numerator)/mpf(denominator) at that precision, and each value is
     kept per (precision, argument) for the life of the evaluator.  With
     tail_check, a geometric tail that is not negligible raises NumericError.

@@ -115,6 +115,13 @@ def test_series_sanity_zero_residuals(model):
         assert rep.ok, rep.checks
 
 
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_series_sanity_zero_residuals_at_order_128(model):
+    for n in (1, 2):
+        rep = series_sanity(model, n, 128)
+        assert rep.ok, rep.checks
+
+
 def test_frozen_aux_coefficients():
     assert solve_aux_series(ModelId.CATALAN, "g_x", 1, 4).coeffs[1] == 1
     assert solve_aux_series(ModelId.CATALAN, "st_x", 1, 4).coeffs[2] == 2
@@ -141,8 +148,11 @@ def test_solve_equation_rejects_coefficient_dependent_on_itself():
     def unit_slope(s):
         return s + PowerSeries.monomial(1, 1, s.order)
 
+    # the equations are written over the same online operations as the
+    # models', so the read-ahead guard on the unknown stops both at m = 1
     for rhs in (half_slope, unit_slope):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="reads coefficient 1 of the "
+                                              "unknown"):
             solve_equation(rhs, 8)
 
 
@@ -213,6 +223,73 @@ PINNED_SERIES = {
         "5ac42d3cf8a2b45d244515d4d7bbcab16998c33dfca5a3a51054e94885e15bac",
 }
 
+# the same at order 96 for n = 1 and n = 300, recorded with the solver that
+# evaluated the whole right-hand side once per coefficient
+PINNED_SERIES_96 = {
+    (ModelId.CATALAN, "base"):
+        "8bd6976100b7f4c9dd36fecb0683510e4403997499b1aa42206744496650a5d4",
+    (ModelId.CATALAN, "g_x"):
+        "1c3f005a34ada8b299ade3fc6634c902dfbd4be26285cf58ce5534e31e02affb",
+    (ModelId.CATALAN, "gbar_x"):
+        "14afecf7d4f586ac1aa931e6a3bc5a1fb848a56927a2279c4d6ea9be9cdb2fe6",
+    (ModelId.CATALAN, "st_x"):
+        "77e01273d45832324aae6dc0e4f2e69b04b439ad3e3a15859935981251bbf862",
+    (ModelId.CATALAN, "stbar_x"):
+        "a06181bb3c92e8ad5809de754b9df9acb4914dd0a01752939ee923b6b4ed8b74",
+    (ModelId.CATALAN, "h_x"):
+        "86c4f2bf3af3ccb5a2dc2a135a4e0a0d82acd0f73931d83a7a64ea6403d905f7",
+    (ModelId.CATALAN, "simple_x_T"):
+        "6afc9802d06a8f619c194e9eb42f194c6ea4e394f824b69f750e15107daa27ae",
+    (ModelId.CATALAN, "simple_x_X"):
+        "243120a3824fdcba06853be4f45285c8aaf7a297362595f87513f952bf6b097d",
+    (ModelId.ASSOC, "base"):
+        "a0e8b747ba4684049498b4f399b768279234eec8beee6a3a00400f4857b66a05",
+    (ModelId.ASSOC, "half"):
+        "9531b254a81ebf25bda56abb664411927100dc8be876074cae3cc3b3eb3bcca7",
+    (ModelId.ASSOC, "g_x"):
+        "ea577b15b1b4cdae673890693ddb2916a4d6761e569d9d317d3ae2f8b54620d9",
+    (ModelId.ASSOC, "gbar_x"):
+        "12725021a4ad4a61049f3af349698f43b9fd0fa271c731261ccf2e640c4e9f2f",
+    (ModelId.ASSOC, "st_x"):
+        "0cb92a13ecb5659510a0ad17812cded073c158e8bc06d2c35fc85e491c3d5fff",
+    (ModelId.ASSOC, "stbar_x"):
+        "3c2de74c093397730104c280e2b27bdcf5790d0b9caa433195354f3c25754469",
+    (ModelId.ASSOC, "simple_x_T"):
+        "79e231ea6bb78e5356f452e983648e6c2d88c8d05c7a858aa4ec0c5b73a81cb2",
+    (ModelId.ASSOC, "simple_x_X"):
+        "d2dadd93721a5aaf01c001c10e357f98cb01c2a3c555f384e6322ba92881e952",
+    (ModelId.COMM, "base"):
+        "8340052d3c1c86cfe336338abc85872da5e109d3f928c955b49db160130317fc",
+    (ModelId.COMM, "g_x"):
+        "7813fb0af2cecdcf82667d851bb3e57f49058887a24b00acd2acddbe41cdbf05",
+    (ModelId.COMM, "gbar_x"):
+        "7f5893303f4894f9cafa16e7c6c48ae035d350a8bc5eb2597f40b03c664f6fa0",
+    (ModelId.COMM, "st_x"):
+        "7af0e3ec293efa360d6bb050244d6defc1e05e9e7ec20aa5282c00bc84d53909",
+    (ModelId.COMM, "stbar_x"):
+        "b49dcb9cc0bbaa75325b33e3bf07b075ada812171a2fb35ec175096125aa1ebf",
+    (ModelId.COMM, "simple_x_T"):
+        "c16ab56fc33a0081a5aaf798155637da6183c31a0ec4660973c64fb33f0690f4",
+    (ModelId.COMM, "simple_x_X"):
+        "7f74910eb713d013b85da041e82623c8f054c9ee712140ece5f46f89ce656c59",
+    (ModelId.ASSOC_COMM, "base"):
+        "12fdcaf05cc34fe6da56c03f4df99b475698aa449c71f91266c9231cfe6c9db2",
+    (ModelId.ASSOC_COMM, "half"):
+        "eff7b6a8ac4c2fec2eee042e3468b73eb22e6186e74e451de0054b3001222e58",
+    (ModelId.ASSOC_COMM, "g_x"):
+        "27e9530fd920350618983d1d624fcbabb73275fbca9b9f32da1d35e564ed1132",
+    (ModelId.ASSOC_COMM, "gbar_x"):
+        "fc128261bdacfc09a1319925b6860c8f2a4f6567ea1b2f4fbd88ac567b569940",
+    (ModelId.ASSOC_COMM, "st_x"):
+        "0690c5aadb57174a643809da766a1ea8d84f136ed4e1979e4aed888a7f77484c",
+    (ModelId.ASSOC_COMM, "stbar_x"):
+        "188f2df448dbf69b605175038aa1afc18c59a9db016afb82dc93136dd30d3633",
+    (ModelId.ASSOC_COMM, "simple_x_T"):
+        "3e61c69274640cc9509767533622cb9e633ec964e7503e51c91e7196c7b54c42",
+    (ModelId.ASSOC_COMM, "simple_x_X"):
+        "c758ed29747935a97e05612044c63e4016f88560ad5fd8d47227a9455c30293a",
+}
+
 
 def _solve_kind(model, kind, n, order):
     if kind == "base":
@@ -222,14 +299,30 @@ def _solve_kind(model, kind, n, order):
     return solve_aux_series(model, kind, n, order)
 
 
-def test_series_digests_pinned():
+def _check_digests(pinned, order, ns):
     kinds = {(model, kind) for model in ALL_MODELS
              for kind in ("base", "half") + AUX_KINDS
              if (kind != "half" or model.stratified)
              and (kind != "h_x" or model is ModelId.CATALAN)}
-    assert set(PINNED_SERIES) == kinds
-    for (model, kind), digest in PINNED_SERIES.items():
-        text = json.dumps([_solve_kind(model, kind, n, 24).to_json()
-                           for n in (1, 2)])
+    assert set(pinned) == kinds
+    for (model, kind), digest in pinned.items():
+        text = json.dumps([_solve_kind(model, kind, n, order).to_json()
+                           for n in ns])
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (model, kind)
 
+
+def test_series_digests_pinned():
+    _check_digests(PINNED_SERIES, 24, (1, 2))
+
+
+def test_series_digests_pinned_at_order_96():
+    _check_digests(PINNED_SERIES_96, 96, (1, 300))
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_integral_coefficients_are_ints(model):
+    # Fractions appear only where a construction divides; an integral
+    # quotient is kept as an int
+    for kind in (kind for m, kind in PINNED_SERIES if m is model):
+        s = _solve_kind(model, kind, 3, 32)
+        assert all(type(c) is int for c in s.coeffs), kind
