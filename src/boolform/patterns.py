@@ -16,7 +16,10 @@ Counting conventions: a tree with l pattern leaves has
 verify_pattern_lemmas checks the three structural facts used throughout
 the asymptotic analysis, by exhausting connective-labelled shapes (the
 tree generator of boolform.exhaustive run over a one-symbol leaf
-alphabet) and vectorizing over all leaf labellings with numpy.
+alphabet) and vectorizing over all leaf labellings with numpy.  A shape's
+labellings are the product of its children's, so its truth table under
+every labelling is an outer product of its children's tables, and one
+memo per call shares the tables and decompositions of sub-shapes.
 """
 
 from __future__ import annotations
@@ -34,9 +37,11 @@ from .exhaustive import _generate, _literals, count_trees
 from .trees import AND, OR, ModelId, Tree, compute_function
 
 EMBEDDING_CAP = 1_000_000
-# leaf labellings verify_pattern_lemmas may check: catalan (7, 2) has 1.44e8,
-# (8, 2) 3.74e9 (about a minute); at n = 2 the arrays of one size take about
-# 300 MB at size 10 and 6 GB at size 12
+# leaf labellings verify_pattern_lemmas may check: catalan (7, 2) has 1.44e8
+# (0.4-0.5 s on a 2-core x86-64 host), (8, 2) 3.74e9 (7 s, 45 MB peak).  A
+# shape's table takes a byte per labelling, 16 KB at size 7 and n = 2, and
+# the memo keeps those of up to m - 2 leaves: 0.24 MB at catalan (7, 2) and at
+# most 2.5 MB under the cap, but 5.8 MB at (8, 2) and 3.7 GB at (10, 2)
 LEMMA_CAP = 1 << 28
 
 
@@ -86,29 +91,46 @@ def _shape(t: Tree):
     return None if t.is_leaf() else _shape_node(t.conn, map(_shape, t.children))
 
 
-def _shape_cands(shape, p: PatternId, k: int, start: int, free: bool):
-    """Pattern-leaf bitmasks of a shape whose first leaf is bit start, and
-    its width (number of leaves).
+class _Memo(dict):
+    """Decompositions and tables of the sub-shapes met in one call, kept for
+    shapes of at most keep leaves; wider ones are rebuilt from their kept
+    children, which bounds the memory."""
+
+    def __init__(self, keep: int):
+        super().__init__()
+        self.keep = keep
+
+
+def _shape_cands(shape, p: PatternId, k: int, free: bool, memo: _Memo):
+    """Pattern-leaf bitmasks of a shape, bit 0 its first leaf, and its width
+    (number of leaves).
 
     k is the number of additional pattern levels plugged into placeholders
     (depth = k+1); a subtree reached with k < 0 is a placeholder.  With free
     False the first child continues (the deterministic plane reading);
     otherwise every child may.  Each child is decomposed only in the roles
-    it can take.
+    it can take, and its masks are shifted to its first leaf.  memo, keyed
+    by (shape, p, k), serves callers with one value of free.
     """
     if shape is None:
-        return [1 << start if k >= 0 else 0], 1
+        return [1 if k >= 0 else 0], 1
+    key = (shape, p, k)
+    got = memo.get(key)
+    if got is not None:
+        return got
     conn, kids = shape
     every = k < 0 or _continues_all(p, conn)
     keeps = range(len(kids)) if free and not every else (0,)
     cont, rest = {}, {}
-    pos = start
+    pos = 0
     for i, c in enumerate(kids):
         if i in keeps:
-            cont[i], width = _shape_cands(c, p, k, pos, free)
+            sub, width = _shape_cands(c, p, k, free, memo)
+            cont[i] = [s << pos for s in sub]
         if i > 0 or len(keeps) > 1:
             # a child that is not kept continues too, or is one level lower
-            rest[i], width = _shape_cands(c, p, k if every else k - 1, pos, free)
+            sub, width = _shape_cands(c, p, k if every else k - 1, free, memo)
+            rest[i] = [s << pos for s in sub]
         pos += width
     out = []
     for keep in keeps:
@@ -117,7 +139,10 @@ def _shape_cands(shape, p: PatternId, k: int, start: int, free: bool):
             if i != keep:
                 acc = [a | s for a in acc for s in sub]
         out.extend(acc)
-    return sorted(set(out)), pos - start
+    got = sorted(set(out)), pos
+    if pos <= memo.keep:
+        memo[key] = got
+    return got
 
 
 def _restrictions_of(mask: int, lits: list, essential: set) -> tuple[int, int, set]:
@@ -142,7 +167,7 @@ def _masks(t: Tree, p: PatternId, depth: int, free: bool,
                 total *= len(node.children)
                 if total > cap:
                     raise ResourceCapError("embedding search over %d orderings" % total)
-    return _shape_cands(_shape(t), p, depth - 1, 0, free)[0]
+    return _shape_cands(_shape(t), p, depth - 1, free, _Memo(0))[0]
 
 
 def _minimal(t: Tree, masks: list) -> tuple[int, tuple[int, int, set]]:
@@ -240,33 +265,60 @@ def labelling_count(l: int, k: int, m: int, n: int, v: int,
 
 # ---------------------------------------------------------------------------
 # vectorized lemma verification
+#
+# Leaf i of a shape (preorder) carries a literal digit d_i: variable d_i >> 1,
+# negated when d_i & 1.  A labelling is the code sum d_i (2n)^i, so a node's
+# labellings are the product of its children's, the first child's in the low
+# digits, and its table over them is op.outer(next child's, so far's).
 
 
-def _or_path_leaves(shape, start: int) -> tuple[int, int]:
+def _literal_tables(n: int) -> np.ndarray:
+    """Truth table of each literal digit; n <= 2 fits a table in a byte."""
+    return np.array([BoolFunc.from_literal(lit, n).table
+                     for lit in _literals(n)], dtype=np.uint8)
+
+
+def _outer(op, nxt: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """op.outer(nxt, acc), flattened.  An acc of 2, 4 or 8 bytes is packed
+    into one word and each entry of nxt copied into every byte of one, so a
+    row takes one word-wide op instead of a short inner loop; the ops are
+    bitwise, so no byte reaches into its neighbour."""
+    if acc.size in (2, 4, 8):
+        word = np.dtype("u%d" % acc.size)
+        every_byte = word.type(int.from_bytes(b"\1" * acc.size, "little"))
+        return op(nxt.astype(word) * every_byte, acc.view(word)).view(np.uint8)
+    return op.outer(nxt, acc).ravel()
+
+
+def _shape_table(shape, leaf: np.ndarray, memo: _Memo) -> np.ndarray:
+    """Truth tables of a shape under all its labellings, indexed by code;
+    leaf is _literal_tables(n).  memo is keyed by shape."""
+    if shape is None:
+        return leaf
+    got = memo.get(shape)
+    if got is not None:
+        return got
+    conn, kids = shape
+    op = np.bitwise_and if conn == AND else np.bitwise_or
+    acc = _shape_table(kids[0], leaf, memo)
+    for c in kids[1:]:
+        acc = _outer(op, _shape_table(c, leaf, memo), acc)
+    if acc.size <= leaf.size ** memo.keep:
+        memo[shape] = acc
+    return acc
+
+
+def _or_path_leaves(shape) -> tuple[int, int]:
     """Bitmask of leaves joined to the root by or-only paths, and the width."""
     if shape is None:
-        return 1 << start, 1
+        return 1, 1
     conn, kids = shape
-    mask = 0
-    pos = start
+    mask = pos = 0
     for c in kids:
-        sub, width = _or_path_leaves(c, pos)
-        mask |= sub
+        sub, width = _or_path_leaves(c)
+        mask |= sub << pos
         pos += width
-    return (mask if conn == OR else 0), pos - start
-
-
-def _fold_tables(shape, leaf_tabs: list, idx: list):
-    if shape is None:
-        t = leaf_tabs[idx[0]]
-        idx[0] += 1
-        return t
-    conn, kids = shape
-    acc = _fold_tables(kids[0], leaf_tabs, idx)
-    for c in kids[1:]:
-        t = _fold_tables(c, leaf_tabs, idx)
-        acc = (acc & t) if conn == AND else (acc | t)
-    return acc
+    return (mask if conn == OR else 0), pos
 
 
 @dataclass
@@ -277,7 +329,8 @@ class LemmaReport:
     shape, not distinct trees.  In a non-plane model, labellings that only
     swap the labels of same-shaped sibling subtrees give one tree, so comm
     (7, 2) checks 10,813,220 labellings of 3,649,724 trees.  For plane
-    models the two counts agree.
+    models the two counts agree.  tautologies counts the labellings among
+    them that compute True, the ones lemmas (a) and (b) are checked on.
     """
 
     model: ModelId
@@ -285,6 +338,7 @@ class LemmaReport:
     n: int
     trees_checked: int
     counterexamples: list = field(default_factory=list)
+    tautologies: int = 0
 
     @property
     def ok(self) -> bool:
@@ -319,72 +373,67 @@ def verify_pattern_lemmas(model: ModelId, m: int, n: int) -> LemmaReport:
     free = not model.plane
     nlits = 2 * n
     full = (1 << (1 << n)) - 1
-    # leaf truth table per literal digit d: var = d >> 1, negated when d & 1
-    lit_table = np.array([BoolFunc.from_literal(lit, n).table
-                          for lit in _literals(n)], dtype=np.uint32)
-    pop = np.array([bin(i).count("1") for i in range(1 << n)], dtype=np.int64)
+    lit_table = _literal_tables(n)
     # simple-tautology LUT over literal-presence masks (bit 2v+neg)
     simple_lut = np.zeros(1 << nlits, dtype=bool)
     for mask in range(1 << nlits):
         simple_lut[mask] = any((mask >> (2 * v)) & 1 and (mask >> (2 * v + 1)) & 1
                                for v in range(n))
-
+    # tables of shapes up to m - 2 leaves are kept; a size-(m - 1) sub-shape
+    # is rebuilt from its kept children, as keeping its table would cost
+    # (2n)^(m - 1) bytes per shape (5.5 MB in all at catalan (7, 2))
+    memo = _Memo(m - 2)
     report = LemmaReport(model, m, n, 0)
     for size in range(1, m + 1):
-        count = nlits ** size
-        codes = np.arange(count, dtype=np.int64)
-        digits = [(codes // nlits ** i) % nlits for i in range(size)]
-        leaf_tabs = [lit_table[d] for d in digits]
-        var_bits = [np.left_shift(1, d >> 1) for d in digits]
-        lit_bits = [np.left_shift(1, d) for d in digits]
+        # code of the labelling with digit 1 (~x1) on a mask's leaves and
+        # digit 0 (x1) elsewhere.  A code spends n bits per leaf, and for
+        # n = 2 leaf i's variable is bit 2i + 1, so a mask's variable bits
+        # are 2 (n - 1) spread[mask]; n = 1 has none
+        spread = [sum(nlits ** i for i in range(size) if mask >> i & 1)
+                  for mask in range(1 << size)]
+        all_leaves = (1 << size) - 1
         for shape in _generate(model, size, (None,), _shape_node):
-            root = _fold_tables(shape, leaf_tabs, [0])
-            tauto = root == full
-            report.trees_checked += count
-            # (c): values only, labels are irrelevant
-            d1, _w = _shape_cands(shape, p, 0, 0, free)
+            root = _shape_table(shape, lit_table, memo)
+            report.trees_checked += nlits ** size
+            # (c) and (s) put ~x1 on the leaves set False, x1 on the others,
+            # and read the table at x1 = 1, its bit 1
+            d1, _w = _shape_cands(shape, p, 0, free, memo)
             for cmask in d1:
-                vals = [not ((cmask >> i) & 1) for i in range(size)]
-                if _fold_tables(shape, vals, [0]):
+                if root[spread[cmask]] & 2:
                     report.counterexamples.append(
                         ("all-pattern-leaves-false", shape, cmask))
             if model.stratified:
-                s1, _w = _shape_cands(shape, PatternId.S, 0, 0, free)
+                s1, _w = _shape_cands(shape, PatternId.S, 0, free, memo)
                 for cmask in s1:
-                    vals = [bool((cmask >> i) & 1) for i in range(size)]
-                    if not _fold_tables(shape, vals, [0]):
+                    if not root[spread[all_leaves ^ cmask]] & 2:
                         report.counterexamples.append(
                             ("all-s-leaves-true", shape, cmask))
-            if not tauto.any():
+            taut = (root == full).nonzero()[0]
+            report.tautologies += len(taut)
+            if not len(taut):
                 continue
-            sel = np.nonzero(tauto)[0]
-            vb = [b[sel] for b in var_bits]
             # minimal depth-2 restriction count; tautologies have no
-            # essential variables, so restrictions = repetitions
-            d2, _w = _shape_cands(shape, p, 1, 0, free)
+            # essential variables, so restrictions = repetitions.  The (at
+            # least one) pattern leaves have two distinct variables when
+            # their variable bits v are neither all clear nor all set
+            d2, _w = _shape_cands(shape, p, 1, free, memo)
             min_reps = None
             for cmask in d2:
-                vmask = np.zeros(len(sel), dtype=np.int64)
-                l = 0
-                for i in range(size):
-                    if (cmask >> i) & 1:
-                        vmask |= vb[i]
-                        l += 1
-                reps = l - pop[vmask]
+                vm = 2 * (n - 1) * spread[cmask]
+                v = taut & vm
+                reps = cmask.bit_count() - 1 - ((v != 0) & (v != vm))
                 min_reps = reps if min_reps is None else np.minimum(min_reps, reps)
-            bad = np.nonzero(min_reps < 1)[0]
-            for b in bad[:5]:
+            for code in taut[min_reps < 1][:5]:
                 report.counterexamples.append(
-                    ("tautology-without-restriction", shape, int(codes[sel[b]])))
-            ones = np.nonzero(min_reps == 1)[0]
+                    ("tautology-without-restriction", shape, int(code)))
+            ones = taut[min_reps == 1]
             if len(ones):
-                orp, _w = _or_path_leaves(shape, 0)
-                lmask = np.zeros(len(sel), dtype=np.int64)
+                orp, _w = _or_path_leaves(shape)
+                lmask = np.zeros(len(ones), dtype=np.int64)
                 for i in range(size):
                     if (orp >> i) & 1:
-                        lmask |= np.asarray(lit_bits[i])[sel]
-                not_simple = ~simple_lut[lmask[ones]]
-                for b in np.nonzero(not_simple)[0][:5]:
+                        lmask |= 1 << ((ones >> (n * i)) & (nlits - 1))
+                for code in ones[~simple_lut[lmask]][:5]:
                     report.counterexamples.append(
-                        ("one-restriction-not-simple", shape, int(codes[sel[ones[b]]])))
+                        ("one-restriction-not-simple", shape, int(code)))
     return report

@@ -1,16 +1,22 @@
 import hashlib
-from itertools import product
+from collections import Counter
+from functools import lru_cache
+from itertools import count, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from boolform import patterns
 from boolform.boolfun import BoolFunc
 from boolform.errors import DomainError, ResourceCapError
-from boolform.exhaustive import _generate, generate_trees, is_simple_tautology
-from boolform.patterns import (PatternId, _shape_node, count_restrictions,
+from boolform.exhaustive import (_generate, _literals, distribution,
+                                 generate_trees, is_simple_tautology)
+from boolform.patterns import (PatternId, _literal_tables, _Memo,
+                               _shape_node, _shape_table, count_restrictions,
                                labelling_count, labelling_weight,
                                match_pattern, minimal_embedding, stirling2,
                                verify_pattern_lemmas)
-from boolform.trees import ModelId, compute_function, parse_tree
+from boolform.trees import ModelId, Tree, compute_function, parse_tree
 
 ALL_MODELS = list(ModelId)
 
@@ -39,6 +45,25 @@ FROZEN_PATTERN_DIGESTS = {
 
 def _patterns(model):
     return [PatternId.N] if model.binary else [PatternId.R, PatternId.S]
+
+
+@lru_cache(maxsize=None)
+def _shapes(model, size):
+    return list(_generate(model, size, (None,), _shape_node))
+
+
+def _labelled(shape, code, n, model):
+    """The tree of a shape under a labelling code: leaf i (preorder) takes
+    literal digit i of the code, base 2n, lowest first."""
+    lits = _literals(n)
+    digits = (code // (2 * n) ** i % (2 * n) for i in count())
+
+    def build(s):
+        if s is None:
+            return Tree.leaf(lits[next(digits)], model)
+        conn, kids = s
+        return Tree.internal(conn, [build(c) for c in kids], model)
+    return build(shape)
 
 
 def test_match_pattern_binary_examples():
@@ -167,6 +192,14 @@ def test_lemmas_hold_at_small_sizes(model):
         assert rep.trees_checked == sum(
             c * (2 * n) ** m
             for m, c in enumerate(FROZEN_SHAPE_COUNTS[model][:5], 1))
+        # tautology labellings against the truth-table DP's tautology trees,
+        # which labellings over-count in the non-plane models
+        true = BoolFunc.constant(n, True)
+        trees = sum(distribution(model, m, n).counts.get(true, 0)
+                    for m in range(1, 6))
+        assert trees > 0
+        assert (rep.tautologies == trees if model.plane
+                else rep.tautologies >= trees)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
@@ -226,3 +259,48 @@ def test_lemmas_a_b_tree_by_tree(model, tautologies):
             assert r >= 1, t
             assert r > 1 or is_simple_tautology(t), t
     assert seen == tautologies
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ALL_MODELS), st.integers(1, 6), st.sampled_from([1, 2]),
+       st.data())
+def test_shape_table_entry_is_the_labelled_trees_function(model, size, n, data):
+    shapes = _shapes(model, size)
+    shape = shapes[data.draw(st.integers(0, len(shapes) - 1))]
+    code = data.draw(st.integers(0, (2 * n) ** size - 1))
+    table = _shape_table(shape, _literal_tables(n), _Memo(size - 2))
+    tree = _labelled(shape, code, n, model)
+    assert int(table[code]) == compute_function(tree, n).table
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_planted_false_lemma_b_is_reported(model, monkeypatch):
+    # with no or-path leaf no tautology is simple, so each one whose minimal
+    # restriction count is 1 breaks lemma (b): at most 5 are kept per shape
+    monkeypatch.setattr(patterns, "_or_path_leaves", lambda shape: (0, 0))
+    rep = verify_pattern_lemmas(model, 5, 2)
+    assert rep.counterexamples
+    per_shape = Counter(shape for _, shape, _ in rep.counterexamples)
+    assert max(per_shape.values()) == 5
+    p = _patterns(model)[0]
+    for kind, shape, code in rep.counterexamples:
+        assert kind == "one-restriction-not-simple"
+        t = _labelled(shape, code, 2, model)
+        assert compute_function(t, 2) == BoolFunc.constant(2, True)
+        assert count_restrictions(t, p, 2).restrictions == 1
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_planted_false_lemma_c_is_reported(model, monkeypatch):
+    # a depth-1 pattern without leaves sets no leaf False, and a tree whose
+    # leaves are all True computes True: every shape breaks lemma (c) once
+    real = patterns._shape_cands
+
+    def no_leaves(shape, p, k, free, memo):
+        masks, width = real(shape, p, k, free, memo)
+        return ([0] if k == 0 else masks), width
+    monkeypatch.setattr(patterns, "_shape_cands", no_leaves)
+    rep = verify_pattern_lemmas(model, 5, 1)
+    broken = [shape for kind, shape, _ in rep.counterexamples
+              if kind == "all-pattern-leaves-false"]
+    assert broken == [s for m in range(1, 6) for s in _shapes(model, m)]
