@@ -377,6 +377,12 @@ def _aux_series(model: ModelId, n: int, order: int) -> dict:
             "h_x": _known(_cross(model, stbar - gbar))}
 
 
+def _simple_x_factor(model: ModelId) -> int:
+    # root arrangements of a simple-x shape: a literal and a subtree under
+    # either connective, and in plane models with the literal on either side
+    return 4 if model.plane else 2
+
+
 def solve_aux_series(model: ModelId, kind: str, n: int,
                      order: int = DEFAULT_ORDER) -> PowerSeries:
     """Auxiliary series for the fixed literal x = x1.
@@ -394,7 +400,7 @@ def solve_aux_series(model: ModelId, kind: str, n: int,
     if kind == "h_x" and model is not ModelId.CATALAN:
         raise DomainError("h_x only defined for the binary plane model")
     if kind in ("simple_x_T", "simple_x_X"):
-        c = 4 if model.plane else 2
+        c = _simple_x_factor(model)
         z = PowerSeries.monomial(1, 1, order)
         if kind == "simple_x_T":
             return _known(z.scale(c * n)

@@ -9,6 +9,10 @@ there in closed form; limiting_ratio, a geometric ladder z = rho(1 - eps_k)
 on S'(z)/T'(z) with Richardson extrapolation in sqrt(eps), stays as an
 independent check of them.
 
+One record per grammar (pairs, SEQ, MSET) states its branch point: value
+closures, branch condition and bracket, value at rho, closed form and rates.
+dominant_singularity, the rates and analytic_evaluators only read its fields.
+
 Near the singularity the truncated series are useless (the tail decays
 like (1-eps)^order), so the evaluators here use the closed radical or
 implicit form of each equation; truncated series only enter through the
@@ -25,8 +29,8 @@ from typing import Callable, Optional, Union
 import mpmath as mp
 
 from .errors import DomainError, NumericError
-from .series import (DEFAULT_ORDER, PowerSeries, solve_aux_series,
-                     solve_half_series, solve_model_series)
+from .series import (DEFAULT_ORDER, PowerSeries, _simple_x_factor,
+                     solve_aux_series, solve_half_series, solve_model_series)
 from .trees import ModelId
 
 DEFAULT_PRECISION = 256
@@ -72,15 +76,25 @@ class _SeriesEval:
 
 
 # ---------------------------------------------------------------------------
-# per-model analytic evaluators
-#
-# Each factory returns (values, rates):
-#   values:  closures of z for T (model series), st (simple tautologies
-#            realized by x1, ST^x) and g (or-only path to a leaf x1, g_x)
-#   rates:   rho -> (w1, w2) = (n dst/dT, dg/dT) at the branch point (rho, tau)
+# one record per grammar
 
 
-def _eval_binary(model: ModelId, n: int, order: int):
+@dataclass(frozen=True)
+class _Grammar:
+    """A grammar at one n and order; closures evaluate at the working
+    precision, hi and closed are at the precision of the build."""
+    values: dict  # z -> T, st (ST^x, simple tautologies on x1), g (g_x)
+    cond: Callable  # branch condition: > 0 at 0, its zero rho, < 0 at hi
+    dcond: Optional[Callable]  # cond' for a Newton guess, or None to bisect
+    hi: object
+    # rho -> T(rho); for assoccomm (MSET) the half series hat(rho) = 1/2 + n rho,
+    # where T(rho) = 1 exactly
+    value_at: Callable
+    closed: Optional[tuple]  # (rho, value_at(rho)) in closed form, or None
+    rates: Callable  # rho -> (w1, w2) = (n dst/dT, dg/dT) at the branch point
+
+
+def _eval_binary(model: ModelId, n: int, order: int) -> _Grammar:
     """A node takes a pair of children: pairs(y) = a y^2 + y(z^2)/2, with
     a = 1 and no z^2 term if plane, a = 1/2 if not (z^2 terms from the
     truncated series).
@@ -91,7 +105,7 @@ def _eval_binary(model: ModelId, n: int, order: int):
     pairs(2 gbar - stbar), solve a y^2 + (1 - 4a gbar) y = 2nz + pairs(T) -
     2a gbar^2 + stbar(z^2)/2.  gbar and stbar are written once as functions
     of (z, T): the values put in T(z), the rates the branch value tau = 1/(4a)
-    where T's square root vanishes.
+    where T's discriminant, the branch condition, vanishes (linear if plane).
     """
     n_ = mp.mpf(n)
     a = mp.mpf(1) if model.plane else mp.mpf(1) / 2
@@ -119,8 +133,11 @@ def _eval_binary(model: ModelId, n: int, order: int):
         b = 1 - 4 * a * gb
         return (-b + mp.sqrt(b * b + 4 * a * q)) / (2 * a)
 
+    def disc(z):
+        return 1 - 8 * a * 2 * n_ * z - 8 * a * t2(z)
+
     def T(z):
-        return (1 - mp.sqrt(1 - 8 * a * 2 * n_ * z - 8 * a * t2(z))) / (4 * a)
+        return (1 - mp.sqrt(disc(z))) / (4 * a)
 
     def g(z):
         t = T(z)
@@ -141,7 +158,9 @@ def _eval_binary(model: ModelId, n: int, order: int):
             (1 + 4 * a * g) * (1 - 4 * a * s + 8 * a * g))
         return w1, w2
 
-    return {"T": T, "st": st, "g": g}, rates
+    closed = (1 / (16 * a * n_), 1 / (4 * a)) if model.plane else None
+    return _Grammar({"T": T, "st": st, "g": g}, disc, None, 1 / (8 * n_), T,
+                    closed, rates)
 
 
 _TAIL_TERMS_MAX = 6000
@@ -163,17 +182,7 @@ def _tail_sum(z, fn):
         l += 1
 
 
-def _log_pi(ev_hat, z):
-    """Polya tail: log Pi(z) = sum over l >= 2 of hat(z^l)/l."""
-    return _tail_sum(z, lambda l: ev_hat(z ** l) / l)
-
-
-def _dlog_pi(ev_dhat, z):
-    """Derivative of log Pi: sum over l >= 2 of z^(l-1) hat'(z^l)."""
-    return _tail_sum(z, lambda l: z ** (l - 1) * ev_dhat(z ** l))
-
-
-def _eval_stratified(model: ModelId, n: int, order: int):
+def _eval_stratified(model: ModelId, n: int, order: int) -> _Grammar:
     """A node takes a sequence (plane) or multiset (non-plane) of >= 2
     children: many(u) = E(u) - 1 - u, with E(u) = 1/(1 - u) for SEQ and
     E(u) = e^u Pi(z) for MSET, log Pi(z) = sum over l >= 2 of hat(z^l)/l
@@ -186,11 +195,44 @@ def _eval_stratified(model: ModelId, n: int, order: int):
     E_k = (1 - z)^k E_0, and q1 = E_1, q2 = 2 E_1 E_2 for SEQ.  They are
     written once as functions of (z, E_0, u = 1 - hat): the values put in
     hat(z), the rates the branch point E_u = 2, where E_0 = sqrt(2) for SEQ
-    and E_0 = 2 for MSET.
+    and E_0 = 2 for MSET.  The branch condition is hat's discriminant for
+    SEQ, a quadratic with a closed form, and 2 - E_u at 1/2 + nz for MSET.
     """
     n_ = mp.mpf(n)
-    if not model.plane:
-        ev_hat = _SeriesEval(solve_half_series(model, n, order))
+    if model.plane:
+        def cond(z):
+            # hat = (b - sqrt(b^2 - 16nz))/4 with b = 1 + 2nz
+            b = 1 + 2 * n_ * z
+            return b * b - 16 * n_ * z
+
+        # E(hat) = 1/(1 - hat) = sqrt(2) at rho, and T = 2 hat - 2nz
+        def value_at(rho):
+            return 2 * (1 - 1 / mp.sqrt(2)) - 2 * n_ * rho
+
+        dcond, closed = None, ((3 - 2 * mp.sqrt(2)) / (2 * n_), mp.sqrt(2) - 1)
+    else:
+        hat_series = solve_half_series(model, n, order)
+        ev_hat = _SeriesEval(hat_series)
+        # the derivative only steers Newton's steps, so its tail goes unchecked
+        ev_dhat = _SeriesEval(hat_series.derivative(), tail_check=False)
+
+        def log_pi(z):
+            # the Polya tail: sum over l >= 2 of hat(z^l)/l
+            return _tail_sum(z, lambda l: ev_hat(z ** l) / l)
+
+        def cond(z):
+            # branch point of y = (e^y Pi - 1 + 2nz)/2: e^y Pi = 2 with y = 1/2 + nz
+            return 2 - mp.exp(mp.mpf(1) / 2 + n_ * z + log_pi(z))
+
+        def dcond(z):
+            # d log Pi/dz = sum over l >= 2 of z^(l-1) hat'(z^l)
+            return (cond(z) - 2) * (n_ + _tail_sum(
+                z, lambda l: z ** (l - 1) * ev_dhat(z ** l)))
+
+        def value_at(rho):
+            return mp.mpf(1) / 2 + n_ * rho
+
+        closed = None
 
     def parts(z, e0, u):
         # g, st and their log-slopes in hat: d log E_k/d hat is E_k for SEQ
@@ -202,11 +244,10 @@ def _eval_stratified(model: ModelId, n: int, order: int):
 
     def values(z):
         if model.plane:
-            b = 1 + 2 * n_ * z
-            hat = (b - mp.sqrt(b * b - 16 * n_ * z)) / 4
+            hat = (1 + 2 * n_ * z - mp.sqrt(cond(z))) / 4
             e0, u = 1 / (1 - hat), 1 - hat
         else:
-            pi = mp.exp(_log_pi(ev_hat, z))
+            pi = mp.exp(log_pi(z))
             # E(y) - 1 - 2y + 2nz falls from y = 0 to the branch point E(y) = 2
             hat = _bisect(lambda y: mp.exp(y) * pi - 1 - 2 * y + 2 * n_ * z,
                           mp.mpf(0), mp.log(2 / pi))
@@ -216,19 +257,17 @@ def _eval_stratified(model: ModelId, n: int, order: int):
 
     def rates(rho):
         # E_0 at the branch point E_u = 2, and dT/dhat = 2
-        if model.plane:
-            u = 1 / mp.sqrt(2)
-            e0 = 1 / u
-        else:
-            e0, u = mp.mpf(2), None
+        u = 1 / mp.sqrt(2) if model.plane else None
+        e0 = 1 / u if model.plane else mp.mpf(2)
         g, st, dlog_g, dlog_st = parts(rho, e0, u)
         return n_ * st * dlog_st / 2, g * dlog_g / 2
 
-    return {name: (lambda z, name=name: values(z)[name])
-            for name in ("T", "st", "g")}, rates
+    return _Grammar({name: (lambda z, name=name: values(z)[name])
+                     for name in ("T", "st", "g")},
+                    cond, dcond, mp.mpf(1) / (4 * n_), value_at, closed, rates)
 
 
-def _evaluators(model: ModelId, n: int, order: int):
+def _grammar(model: ModelId, n: int, order: int) -> _Grammar:
     return (_eval_binary if model.binary else _eval_stratified)(model, n, order)
 
 
@@ -238,7 +277,7 @@ def analytic_evaluators(model: ModelId, n: int, order: int = DEFAULT_ORDER):
     They hold up to the dominant singularity; the z^2 and z^l terms come
     from the order-`order` series.
     """
-    return _evaluators(model, n, order)[0]
+    return _grammar(model, n, order).values
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +286,11 @@ def analytic_evaluators(model: ModelId, n: int, order: int = DEFAULT_ORDER):
 
 @dataclass(frozen=True)
 class SingularityReport:
+    """The dominant singularity rho of a model's series at n variables.
+
+    value_at_rho is T(rho) for catalan, assoc and comm (whose 1/2 can carry a
+    complex rounding residue); for assoccomm (MSET) the half series
+    hat(rho) = 1/2 + n rho, where T(rho) = 1 exactly."""
     model: ModelId
     n: int
     rho: object
@@ -254,8 +298,11 @@ class SingularityReport:
     method: str
 
 
-def _bisect(fn: Callable, lo, hi, iters: int = 400, guess=None):
-    """Zero of fn in [lo, hi] by bisection.
+def _bisect(fn: Callable, lo, hi, guess=None):
+    """Zero of fn in [lo, hi] by bisection, to a bracket below 4 ulps.
+
+    2 prec + log2((hi - lo)/max(|lo|, |hi|)) halvings reach 4 ulps of any zero
+    above eps max(|lo|, |hi|); a bracket still wider raises NumericError.
 
     With a guess of the zero, a step whose midpoint lies more than 2^20 ulps
     from the guess takes its side from the guess instead of evaluating fn.
@@ -269,7 +316,8 @@ def _bisect(fn: Callable, lo, hi, iters: int = 400, guess=None):
         raise NumericError("no sign change in bracket",
                            diagnostics={"lo": float(lo), "hi": float(hi)})
     margin = None if guess is None else abs(guess) * mp.eps * 2 ** 20
-    for _ in range(iters):
+    steps = 2 * mp.mp.prec + int(mp.mag((hi - lo) / max(abs(lo), abs(hi))))
+    for _ in range(steps):
         mid = (lo + hi) / 2
         if margin is not None and abs(mid - guess) > margin:
             if mid < guess:
@@ -286,6 +334,10 @@ def _bisect(fn: Callable, lo, hi, iters: int = 400, guess=None):
                 lo, flo = mid, fm
         if hi - lo < abs(mid) * mp.eps * 4:
             break
+    else:
+        raise NumericError("bisection did not narrow the bracket to 4 ulps",
+                           diagnostics={"lo": float(lo), "hi": float(hi),
+                                        "steps": steps})
     if guess is not None and fn(lo) * fn(hi) > 0:
         raise NumericError("guess outside the final bracket",
                            diagnostics={"lo": float(lo), "hi": float(hi),
@@ -328,34 +380,6 @@ def _newton(fn: Callable, dfn: Callable, lo, hi, rtol):
                                     "iterations": _NEWTON_STEPS_MAX})
 
 
-def _branch_condition(model: ModelId, n: int, order: int):
-    """(f, f') with f's smallest positive zero the singularity.
-
-    f' is None where plain bisection is cheap enough.
-    """
-    n_ = mp.mpf(n)
-    if model is ModelId.CATALAN:
-        return (lambda z: 1 - 16 * n_ * z), None
-    if model is ModelId.ASSOC:
-        return (lambda z: (1 + 2 * n_ * z) ** 2 - 16 * n_ * z), None
-    if model is ModelId.COMM:
-        ev_c = _SeriesEval(solve_model_series(ModelId.COMM, n, order))
-        return (lambda z: 1 - 8 * n_ * z - 4 * ev_c(z * z)), None
-    hat_series = solve_half_series(ModelId.ASSOC_COMM, n, order)
-    ev_hat = _SeriesEval(hat_series)
-    # the derivative only steers Newton's steps, so its tail goes unchecked
-    ev_dhat = _SeriesEval(hat_series.derivative(), tail_check=False)
-
-    def cond(z):
-        # branch point of y = (e^y Pi - 1 + 2nz)/2: e^y Pi = 2 with y = 1/2 + nz
-        return 2 - mp.exp(mp.mpf(1) / 2 + n_ * z + _log_pi(ev_hat, z))
-
-    def dcond(z):
-        return (cond(z) - 2) * (n_ + _dlog_pi(ev_dhat, z))
-
-    return cond, dcond
-
-
 def _check_precision(precision: int) -> None:
     if precision < 53:
         raise DomainError("precision must be >= 53 bits")
@@ -370,55 +394,28 @@ def dominant_singularity(model: ModelId, n: int,
         raise DomainError("n must be >= 1")
     _check_precision(precision)
     if method is None:
-        method = "closed-form" if model in (ModelId.CATALAN, ModelId.ASSOC) else "numeric-system"
+        method = "closed-form" if model.plane else "numeric-system"
     return _dominant_singularity(model, n, precision, method, order)
 
 
 @lru_cache(maxsize=None)
 def _dominant_singularity(model: ModelId, n: int, precision: int, method: str,
                           order: int) -> SingularityReport:
+    if method not in ("closed-form", "numeric-system"):
+        raise DomainError("unknown method %r" % method)
     with mp.workprec(precision):
-        n_ = mp.mpf(n)
+        grammar = _grammar(model, n, order)
         if method == "closed-form":
-            if model is ModelId.CATALAN:
-                rho = 1 / (16 * n_)
-                value = mp.mpf(1) / 4
-            elif model is ModelId.ASSOC:
-                rho = (3 - 2 * mp.sqrt(2)) / (2 * n_)
-                value = mp.sqrt(2) - 1
-            else:
+            if grammar.closed is None:
                 raise DomainError("no closed form for %s" % model.value)
-            return SingularityReport(model, n, rho, value, method)
-        if method != "numeric-system":
-            raise DomainError("unknown method %r" % method)
-        cond, dcond = _branch_condition(model, n, order)
-        # initial bracket chosen so any z^2 / z^l substitutions stay well
-        # inside the disk of convergence
-        if model is ModelId.COMM:
-            hi = mp.mpf(1) / (8 * n_)
-        elif model is ModelId.ASSOC_COMM:
-            hi = mp.mpf(1) / (4 * n_)
-        else:
-            hi = mp.mpf(1) / (2 * n_)
-        while cond(hi) > 0:
-            hi *= 2
-            if hi > 10:
-                raise NumericError("failed to bracket the singularity",
-                                   diagnostics={"model": model.value, "n": n})
+            return SingularityReport(model, n, *grammar.closed, method)
+        zero = mp.mpf(0)
         # Newton finds the zero to 2^8 ulps in a few steps; bisection then
         # needs fn only near it, and gives the same bits as without the guess
-        guess = None if dcond is None else _newton(cond, dcond, mp.mpf(0), hi,
-                                                   mp.eps * 2 ** 8)
-        rho = _bisect(cond, mp.mpf(0), hi, guess=guess)
-        if model is ModelId.ASSOC_COMM:
-            # at the branch point the half-series value is 1/2 + n*rho
-            value = mp.mpf(1) / 2 + n_ * rho
-        elif model is ModelId.ASSOC:
-            # T = 2 hat - 2nz with E(hat) = 1/(1 - hat) = sqrt(2) there
-            value = 2 * (1 - 1 / mp.sqrt(2)) - 2 * n_ * rho
-        else:
-            value = analytic_evaluators(model, n, order)["T"](rho)
-        return SingularityReport(model, n, rho, value, method)
+        guess = None if grammar.dcond is None else _newton(
+            grammar.cond, grammar.dcond, zero, grammar.hi, mp.eps * 2 ** 8)
+        rho = _bisect(grammar.cond, zero, grammar.hi, guess=guess)
+        return SingularityReport(model, n, rho, grammar.value_at(rho), method)
 
 
 # ---------------------------------------------------------------------------
@@ -488,16 +485,12 @@ def limiting_ratio(numerator: Evaluator, denominator: Evaluator, rho,
 # constants
 
 
-def _plane_factor(model: ModelId) -> int:
-    return 4 if model.plane else 2
-
-
 @lru_cache(maxsize=None)
 def _rates(model: ModelId, n: int, precision: int, order: int):
     """(w1, w2) = (n dST^x/dT, dg_x/dT) at the branch point, high precision."""
     with mp.workprec(precision):
         rho = dominant_singularity(model, n, precision, order=order).rho
-        w1, w2 = _evaluators(model, n, order)[1](rho)
+        w1, w2 = _grammar(model, n, order).rates(rho)
         if not all(isinstance(w, mp.mpf) and w > 0 for w in (w1, w2)):
             raise NumericError("branch-point rates are not positive reals",
                                diagnostics={"model": model.value, "n": n,
@@ -546,7 +539,7 @@ def probability_literal(model: ModelId, n: int,
     with mp.workprec(precision):
         w1, w2 = _rates(model, n, precision, order)
         rho = dominant_singularity(model, n, precision, order=order).rho
-        return mp.mpf(n) ** 2 * _plane_factor(model) * rho * (w1 + w2)
+        return mp.mpf(n) ** 2 * _simple_x_factor(model) * rho * (w1 + w2)
 
 
 REFERENCE_CONSTANTS = {

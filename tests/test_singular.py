@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -24,7 +26,7 @@ def test_closed_form_singularities():
         assert abs(rep.value_at_rho - mp.mpf(1) / 4) < mp.mpf(10) ** -40
         rep = dominant_singularity(ModelId.ASSOC, 3)
         assert abs(rep.rho - (3 - 2 * mp.sqrt(2)) / 6) < mp.mpf(10) ** -40
-        # half-class value at the singularity
+        # assoc's value at the singularity is T(rho) = sqrt(2) - 1
         assert abs(rep.value_at_rho - (mp.sqrt(2) - 1)) < mp.mpf(10) ** -40
 
 
@@ -33,6 +35,44 @@ def test_numeric_solver_reproduces_closed_forms(model):
     closed = dominant_singularity(model, 5, method="closed-form")
     numeric = dominant_singularity(model, 5, method="numeric-system")
     assert abs(closed.rho - numeric.rho) < mp.mpf(10) ** -50
+
+
+@pytest.mark.parametrize("prec", [450, 600])
+def test_numeric_solver_keeps_every_bit_past_400_bits(prec):
+    # bisection takes as many halvings as the precision asks for; a fixed
+    # 400 left assoc's rho 2.95e-121 off at either precision
+    with mp.workprec(prec):
+        closed = dominant_singularity(ModelId.ASSOC, 5, prec, "closed-form").rho
+        numeric = dominant_singularity(ModelId.ASSOC, 5, prec,
+                                       "numeric-system").rho
+        assert abs(closed - numeric) < closed * mp.eps * 8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1000])
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_branch_condition_changes_sign_on_the_bracket(model, n):
+    # each grammar's bracket holds its branch point with no search for it
+    with mp.workprec(256):
+        grammar = singular._grammar(model, n, 64)
+        assert grammar.cond(mp.mpf(0)) > 0 > grammar.cond(grammar.hi)
+
+
+def test_singular_names_models_only_in_the_reference_table():
+    # each grammar states its own branch point, so singular.py tells the
+    # models apart by their binary/plane shape and names them only in the
+    # table of published constants
+    tree = ast.parse(Path(singular.__file__).read_text())
+    table = [node for node in tree.body if isinstance(node, ast.Assign)
+             and [getattr(t, "id", None) for t in node.targets]
+             == ["REFERENCE_CONSTANTS"]]
+    allowed = {id(node) for node in ast.walk(table[0])}
+    values = {model.value for model in ModelId}
+    named = [(node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+             if id(node) not in allowed
+             and (isinstance(node, ast.Attribute)
+                  and node.attr in ModelId.__members__
+                  or isinstance(node, ast.Constant) and node.value in values)]
+    assert len(table) == 1 and not named, named
 
 
 def test_comm_gamma_against_refined_expansion():
@@ -289,8 +329,10 @@ def test_w_rates_run_no_ladder(monkeypatch):
 
 def test_w_rates_raise_on_a_complex_rate(monkeypatch):
     # a square root of a negative rounding residue must not become a rate
-    monkeypatch.setattr(singular, "_evaluators", lambda model, n, order: (
-        {}, lambda rho: (mp.mpc(1, 1e-40), mp.mpf(1))))
+    grammar = singular._grammar
+    monkeypatch.setattr(singular, "_grammar", lambda model, n, order: (
+        dataclasses.replace(grammar(model, n, order),
+                            rates=lambda rho: (mp.mpc(1, 1e-40), mp.mpf(1)))))
     singular._rates.cache_clear()
     with pytest.raises(NumericError) as info:
         w_rates(ModelId.CATALAN, 7)
@@ -309,19 +351,19 @@ def test_assoc_numeric_value_at_rho_is_real(n):
 
 def test_singularity_report_solves_each_branch_point_once(monkeypatch):
     calls = []
-    solve = singular._branch_condition
+    solve = singular._bisect
 
-    def counting(model, n, order):
-        calls.append((model, n))
-        return solve(model, n, order)
+    def counting(*args, **kwargs):
+        calls.append(key)
+        return solve(*args, **kwargs)
 
-    monkeypatch.setattr(singular, "_branch_condition", counting)
+    monkeypatch.setattr(singular, "_bisect", counting)
     singular._dominant_singularity.cache_clear()
     singular._rates.cache_clear()
-    for model in (ModelId.COMM, ModelId.ASSOC_COMM):
-        singularity_report(model, 12, order=32)
+    for key in ((ModelId.COMM, 12), (ModelId.ASSOC_COMM, 12)):
+        singularity_report(*key, order=32)
         # the default method and the explicit one share the cached solve
-        dominant_singularity(model, 12, method="numeric-system", order=32)
+        dominant_singularity(*key, method="numeric-system", order=32)
     assert calls == [(ModelId.COMM, 12), (ModelId.ASSOC_COMM, 12)]
 
 
@@ -361,6 +403,16 @@ def test_bisection_with_a_newton_guess_gives_the_same_bits(prec):
         guess = singular._newton(f, lambda z: -mp.sin(z) - 1, lo, hi,
                                  mp.eps * 2 ** 8)
         assert singular._bisect(f, lo, hi, guess=guess) == singular._bisect(f, lo, hi)
+
+
+def test_bisection_raises_when_the_bracket_stays_wide():
+    # a zero below eps times the bracket's end is not reached to 4 ulps
+    # within 2 prec + 1 halvings
+    with mp.workprec(128):
+        with pytest.raises(NumericError, match="4 ulps") as info:
+            singular._bisect(lambda z: z - mp.mpf(2) ** -384, mp.mpf(0),
+                             mp.mpf(1))
+    assert info.value.diagnostics["steps"] == 257
 
 
 def test_bisection_raises_on_a_wrong_guess():
