@@ -11,8 +11,7 @@ import sys
 import mpmath as mp
 
 from .boolfun import BoolFunc
-from .errors import (DomainError, InputError, NumericError, ResourceCapError,
-                     StructureError)
+from .errors import InputError, NumericError, ResourceCapError
 from .trees import ModelId
 from . import exhaustive, patterns, series, singular
 from .complexity import probability_vs_bounds as _probability_vs_bounds
@@ -193,9 +192,10 @@ def _build_parser() -> argparse.ArgumentParser:
         if vars_:
             p.add_argument("--vars", type=int, required=True)
         if order:
-            p.add_argument("--order", type=int, default=64)
+            p.add_argument("--order", type=int, default=series.DEFAULT_ORDER)
         if precision:
-            p.add_argument("--precision", type=int, default=256)
+            p.add_argument("--precision", type=int,
+                           default=singular.DEFAULT_PRECISION)
 
     p = sub.add_parser("count")
     p.add_argument("--model", required=True)
@@ -227,7 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_ratio)
 
     p = sub.add_parser("constants-table")
-    p.add_argument("--n-grid", default="100,200,400")
+    p.add_argument("--n-grid", default=",".join(
+        str(n) for n in singular.DEFAULT_N_GRID))
     common(p, vars_=False, order=True, precision=True)
     p.set_defaults(handler=_cmd_constants_table)
 
@@ -271,7 +272,7 @@ def run(argv=None) -> int:
         print(json.dumps({"error": "numeric", "message": str(exc)}),
               file=sys.stderr)
         return EXIT_NUMERIC
-    except (InputError, DomainError, StructureError, ValueError) as exc:
+    except ValueError as exc:  # InputError, DomainError, StructureError
         print(json.dumps({"error": "usage", "message": str(exc)}),
               file=sys.stderr)
         return EXIT_USAGE

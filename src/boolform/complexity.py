@@ -48,8 +48,8 @@ def complexity(f: BoolFunc, model: ModelId, budget: int = SEARCH_BUDGET) -> Mini
     raise ResourceCapError("no tree of size <= %d computes %s" % (budget, f))
 
 
-def complexity_model_independence(f: BoolFunc, budget: int = SEARCH_BUDGET) -> bool:
-    values = {complexity(f, model, budget).L for model in ModelId}
+def complexity_model_independence(f: BoolFunc) -> bool:
+    values = {complexity(f, model).L for model in ModelId}
     return len(values) == 1
 
 
@@ -256,8 +256,9 @@ def _violation(limit: float, bounds: Bounds, model: ModelId, L: int) -> str:
     return reason
 
 
-def probability_vs_bounds(f: BoolFunc, model: ModelId,
-                          n_grid: Sequence[int] = (100, 200, 400)) -> dict:
+def probability_vs_bounds(
+        f: BoolFunc, model: ModelId,
+        n_grid: Sequence[int] = singular.DEFAULT_N_GRID) -> dict:
     """Expansion-formula estimate of lambda_f against the closed bounds.
 
     The estimate at each n is rho_n^L (lambda_T w1 + lambda_X w2) n^(L+1)

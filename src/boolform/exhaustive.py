@@ -340,12 +340,11 @@ def distribution(model: ModelId, m: int, n: int) -> Distribution:
     return Distribution(model, m, n, counts, total)
 
 
-def distribution_by_generation(model: ModelId, m: int, n: int,
-                               cap: int = GENERATION_CAP) -> Distribution:
+def distribution_by_generation(model: ModelId, m: int, n: int) -> Distribution:
     """Same result as distribution(), by materializing every tree (cross-check)."""
     counts: dict = {}
     total = 0
-    for t in generate_trees(model, m, n, cap=cap):
+    for t in generate_trees(model, m, n):
         f = compute_function(t, n)
         counts[f] = counts.get(f, 0) + 1
         total += 1
@@ -404,13 +403,12 @@ def is_simple_x(t: Tree):
     return None
 
 
-def classify_tautologies(model: ModelId, m: int, n: int,
-                         cap: int = GENERATION_CAP) -> tuple[int, int]:
+def classify_tautologies(model: ModelId, m: int, n: int) -> tuple[int, int]:
     """(simple, non-simple) counts over all trees computing True."""
     true_f = BoolFunc.constant(n, True)
     simple = 0
     nonsimple = 0
-    for t in generate_trees(model, m, n, cap=cap):
+    for t in generate_trees(model, m, n):
         if compute_function(t, n) == true_f:
             if is_simple_tautology(t):
                 simple += 1
@@ -446,12 +444,12 @@ def classifier_counts(model: ModelId, kind: str, m: int, n: int) -> int:
     return sum(cnt for (a, _b), cnt in vec.items() if a == 1)
 
 
-def classifier_counts_by_generation(model: ModelId, kind: str, m: int, n: int,
-                                    cap: int = GENERATION_CAP) -> int:
+def classifier_counts_by_generation(model: ModelId, kind: str, m: int,
+                                    n: int) -> int:
     """Literal generate-and-classify version of classifier_counts."""
     lit = Literal(1, True)
     total = 0
-    for t in generate_trees(model, m, n, cap=cap):
+    for t in generate_trees(model, m, n):
         if kind == "st_x":
             if 1 in is_simple_tautology(t):
                 total += 1

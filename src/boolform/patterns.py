@@ -153,8 +153,7 @@ def _restrictions_of(mask: int, lits: list, essential: set) -> tuple[int, int, s
     return reps, reps + len(realized), realized
 
 
-def _masks(t: Tree, p: PatternId, depth: int, free: bool,
-           cap: int = EMBEDDING_CAP) -> list:
+def _masks(t: Tree, p: PatternId, depth: int, free: bool) -> list:
     """Pattern-leaf masks of t: the plane reading, or every embedding if free."""
     _pattern_for(t.model, p)
     if depth < 1:
@@ -165,7 +164,7 @@ def _masks(t: Tree, p: PatternId, depth: int, free: bool,
         for _, node in t.nodes():
             if not node.is_leaf() and not _continues_all(p, node.conn):
                 total *= len(node.children)
-                if total > cap:
+                if total > EMBEDDING_CAP:
                     raise ResourceCapError("embedding search over %d orderings" % total)
     return _shape_cands(_shape(t), p, depth - 1, free, _Memo(0))[0]
 
@@ -206,10 +205,9 @@ def count_restrictions(t: Tree, p: PatternId, depth: int = 1) -> RestrictionCoun
     return RestrictionCount(*_minimal(t, _masks(t, p, depth, not t.model.plane))[1])
 
 
-def minimal_embedding(t: Tree, p: PatternId, depth: int = 1,
-                      cap: int = EMBEDDING_CAP) -> PatternMatch:
+def minimal_embedding(t: Tree, p: PatternId, depth: int = 1) -> PatternMatch:
     """Embedding of a non-plane tree minimizing the restriction count."""
-    return _match(t, p, depth, _minimal(t, _masks(t, p, depth, True, cap))[0])
+    return _match(t, p, depth, _minimal(t, _masks(t, p, depth, True))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,14 @@ independent check of them.
 
 One record per grammar (pairs, SEQ, MSET) states its branch point: value
 closures, branch condition and bracket, value at rho, closed form and rates.
-dominant_singularity, the rates and analytic_evaluators only read its fields.
+dominant_singularity, the rates and analytic_evaluators only read its fields;
+one derivative-free regula falsi guess steers every branch-point bisection.
 
 Near the singularity the truncated series are useless (the tail decays
-like (1-eps)^order), so the evaluators here use the closed radical or
-implicit form of each equation; truncated series only enter through the
-z^2- and z^l-substituted terms, which sit deep inside the disk of
-convergence and converge geometrically.
+like (1-eps)^order), so every evaluator here is in closed form: a radical
+for pairs and SEQ, the principal branch W_0 of Lambert W for MSET.
+Truncated series only enter through the z^2- and z^l-substituted terms,
+which sit deep inside the disk of convergence and converge geometrically.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .series import (DEFAULT_ORDER, PowerSeries, _simple_x_factor,
 from .trees import ModelId
 
 DEFAULT_PRECISION = 256
+DEFAULT_N_GRID = (100, 200, 400)  # n of the least-squares fits to n -> inf
 
 
 class _SeriesEval:
@@ -85,7 +87,6 @@ class _Grammar:
     precision, hi and closed are at the precision of the build."""
     values: dict  # z -> T, st (ST^x, simple tautologies on x1), g (g_x)
     cond: Callable  # branch condition: > 0 at 0, its zero rho, < 0 at hi
-    dcond: Optional[Callable]  # cond' for a Newton guess, or None to bisect
     hi: object
     # rho -> T(rho); for assoccomm (MSET) the half series hat(rho) = 1/2 + n rho,
     # where T(rho) = 1 exactly
@@ -159,8 +160,8 @@ def _eval_binary(model: ModelId, n: int, order: int) -> _Grammar:
         return w1, w2
 
     closed = (1 / (16 * a * n_), 1 / (4 * a)) if model.plane else None
-    return _Grammar({"T": T, "st": st, "g": g}, disc, None, 1 / (8 * n_), T,
-                    closed, rates)
+    return _Grammar({"T": T, "st": st, "g": g}, disc, 1 / (8 * n_), T, closed,
+                    rates)
 
 
 _TAIL_TERMS_MAX = 6000
@@ -189,14 +190,16 @@ def _eval_stratified(model: ModelId, n: int, order: int) -> _Grammar:
     (the truncated half series).
 
     hat = 2nz + many(hat) solves E(hat) = 1 + 2 hat - 2nz on its lower
-    branch and T = 2 hat - 2nz.  With E_k the E of hat - kz, g = E_0 - E_1
-    and st = E_0 - 2 E_1 + E_2 are evaluated without cancellation as
-    g = z E_0 q1 and st = z^2 E_0 q2: q1 = q2 = 1 for MSET, where
-    E_k = (1 - z)^k E_0, and q1 = E_1, q2 = 2 E_1 E_2 for SEQ.  They are
-    written once as functions of (z, E_0, u = 1 - hat): the values put in
-    hat(z), the rates the branch point E_u = 2, where E_0 = sqrt(2) for SEQ
-    and E_0 = 2 for MSET.  The branch condition is hat's discriminant for
-    SEQ, a quadratic with a closed form, and 2 - E_u at 1/2 + nz for MSET.
+    branch and T = 2 hat - 2nz = E_0 - 1, in closed form: hat is a radical for
+    SEQ, and E_0 = -2 W_0(-e^(nz - 1/2) Pi/2) for MSET (Lambert W's principal
+    branch, Corless et al. 1996), whose branch point -1/e is rho.  With E_k
+    the E of hat - kz, g = E_0 - E_1 and st = E_0 - 2 E_1 + E_2 are evaluated
+    without cancellation as g = z E_0 q1 and st = z^2 E_0 q2: q1 = q2 = 1 for
+    MSET, where E_k = (1 - z)^k E_0, and q1 = E_1, q2 = 2 E_1 E_2 for SEQ.
+    They are written once as functions of (z, E_0, u = 1 - hat): the values
+    put in E_0(z), the rates the branch point E_u = 2, where E_0 = sqrt(2)
+    for SEQ and E_0 = 2 for MSET.  The branch condition is hat's discriminant
+    for SEQ, a quadratic with a closed form, and 2 - E_u at 1/2 + nz for MSET.
     """
     n_ = mp.mpf(n)
     if model.plane:
@@ -209,12 +212,9 @@ def _eval_stratified(model: ModelId, n: int, order: int) -> _Grammar:
         def value_at(rho):
             return 2 * (1 - 1 / mp.sqrt(2)) - 2 * n_ * rho
 
-        dcond, closed = None, ((3 - 2 * mp.sqrt(2)) / (2 * n_), mp.sqrt(2) - 1)
+        closed = ((3 - 2 * mp.sqrt(2)) / (2 * n_), mp.sqrt(2) - 1)
     else:
-        hat_series = solve_half_series(model, n, order)
-        ev_hat = _SeriesEval(hat_series)
-        # the derivative only steers Newton's steps, so its tail goes unchecked
-        ev_dhat = _SeriesEval(hat_series.derivative(), tail_check=False)
+        ev_hat = _SeriesEval(solve_half_series(model, n, order))
 
         def log_pi(z):
             # the Polya tail: sum over l >= 2 of hat(z^l)/l
@@ -224,10 +224,17 @@ def _eval_stratified(model: ModelId, n: int, order: int) -> _Grammar:
             # branch point of y = (e^y Pi - 1 + 2nz)/2: e^y Pi = 2 with y = 1/2 + nz
             return 2 - mp.exp(mp.mpf(1) / 2 + n_ * z + log_pi(z))
 
-        def dcond(z):
-            # d log Pi/dz = sum over l >= 2 of z^(l-1) hat'(z^l)
-            return (cond(z) - 2) * (n_ + _tail_sum(
-                z, lambda l: z ** (l - 1) * ev_dhat(z ** l)))
+        def lambert_e0(z):
+            # E_0 = -2 W(x) solves E_0 e^(-E_0/2) = e^(nz - 1/2) Pi; hat's
+            # lower branch is W's principal branch W_0
+            x = -mp.exp(n_ * z - mp.mpf(1) / 2 + log_pi(z)) / 2
+            branch = -mp.exp(-1)
+            if x > branch:
+                return -2 * mp.lambertw(x)
+            if x < branch * (1 + mp.eps * 2 ** 8):
+                raise NumericError("z beyond the branch point",
+                                   diagnostics={"z": float(z), "x": float(x)})
+            return mp.mpf(2)  # W_0(-1/e) = -1, up to rounding at z = rho
 
         def value_at(rho):
             return mp.mpf(1) / 2 + n_ * rho
@@ -245,15 +252,12 @@ def _eval_stratified(model: ModelId, n: int, order: int) -> _Grammar:
     def values(z):
         if model.plane:
             hat = (1 + 2 * n_ * z - mp.sqrt(cond(z))) / 4
-            e0, u = 1 / (1 - hat), 1 - hat
+            t, e0, u = 2 * hat - 2 * n_ * z, 1 / (1 - hat), 1 - hat
         else:
-            pi = mp.exp(log_pi(z))
-            # E(y) - 1 - 2y + 2nz falls from y = 0 to the branch point E(y) = 2
-            hat = _bisect(lambda y: mp.exp(y) * pi - 1 - 2 * y + 2 * n_ * z,
-                          mp.mpf(0), mp.log(2 / pi))
-            e0, u = mp.exp(hat) * pi, None
+            e0, u = lambert_e0(z), None
+            t = e0 - 1
         g, st, _, _ = parts(z, e0, u)
-        return {"T": 2 * hat - 2 * n_ * z, "g": g, "st": st}
+        return {"T": t, "g": g, "st": st}
 
     def rates(rho):
         # E_0 at the branch point E_u = 2, and dT/dhat = 2
@@ -264,7 +268,7 @@ def _eval_stratified(model: ModelId, n: int, order: int) -> _Grammar:
 
     return _Grammar({name: (lambda z, name=name: values(z)[name])
                      for name in ("T", "st", "g")},
-                    cond, dcond, mp.mpf(1) / (4 * n_), value_at, closed, rates)
+                    cond, mp.mpf(1) / (4 * n_), value_at, closed, rates)
 
 
 def _grammar(model: ModelId, n: int, order: int) -> _Grammar:
@@ -298,28 +302,60 @@ class SingularityReport:
     method: str
 
 
-def _bisect(fn: Callable, lo, hi, guess=None):
+def _regula_falsi(fn: Callable, lo, hi, rtol):
+    """Zero of fn in [lo, hi] by regula falsi, to a bracket below rtol.
+
+    Each step puts the secant through the bracket's ends, so every point
+    stays inside the bracket and fn's derivative is never needed.  In the
+    Illinois variant (Dowell & Jarratt, BIT 1971) a new point on the side of
+    the last one halves the value of the end kept, so both ends close in on
+    the zero.  No sign change, or a bracket still wider after 2 prec steps,
+    more than bisection takes, raises NumericError.
+    """
+    a, fa, b, fb = lo, fn(lo), hi, fn(hi)
+    if fa * fb > 0:
+        raise NumericError("no sign change in bracket",
+                           diagnostics={"lo": float(lo), "hi": float(hi)})
+    steps = 2 * mp.mp.prec
+    for _ in range(steps):
+        c = b - fb * (b - a) / (fb - fa)
+        fc = fn(c)
+        if fc == 0:
+            return c
+        if fc * fb < 0:
+            a, fa = b, fb
+        else:
+            fa /= 2  # c falls on b's side, so a is kept
+        b, fb = c, fc
+        if abs(b - a) < abs(c) * rtol:
+            return c
+    raise NumericError("regula falsi did not narrow the bracket",
+                       diagnostics={"a": float(a), "b": float(b),
+                                    "steps": steps})
+
+
+def _bisect(fn: Callable, lo, hi, guess):
     """Zero of fn in [lo, hi] by bisection, to a bracket below 4 ulps.
 
     2 prec + log2((hi - lo)/max(|lo|, |hi|)) halvings reach 4 ulps of any zero
     above eps max(|lo|, |hi|); a bracket still wider raises NumericError.
 
-    With a guess of the zero, a step whose midpoint lies more than 2^20 ulps
-    from the guess takes its side from the guess instead of evaluating fn.
-    Wherever fn's sign is right that far from its zero, the steps and the
-    result are those of plain bisection; the final bracket is checked for a
-    sign change, so a wrong guess raises NumericError.
+    A step whose midpoint lies more than 2^20 ulps from the guess of the zero
+    takes its side from the guess instead of evaluating fn.  Wherever fn's
+    sign is right that far from its zero, the steps and the result are those
+    of plain bisection; the final bracket is checked for a sign change, so a
+    wrong guess raises NumericError.
     """
     flo = fn(lo)
     fhi = fn(hi)
     if flo * fhi > 0:
         raise NumericError("no sign change in bracket",
                            diagnostics={"lo": float(lo), "hi": float(hi)})
-    margin = None if guess is None else abs(guess) * mp.eps * 2 ** 20
+    margin = abs(guess) * mp.eps * 2 ** 20
     steps = 2 * mp.mp.prec + int(mp.mag((hi - lo) / max(abs(lo), abs(hi))))
     for _ in range(steps):
         mid = (lo + hi) / 2
-        if margin is not None and abs(mid - guess) > margin:
+        if abs(mid - guess) > margin:
             if mid < guess:
                 lo = mid
             else:
@@ -338,46 +374,11 @@ def _bisect(fn: Callable, lo, hi, guess=None):
         raise NumericError("bisection did not narrow the bracket to 4 ulps",
                            diagnostics={"lo": float(lo), "hi": float(hi),
                                         "steps": steps})
-    if guess is not None and fn(lo) * fn(hi) > 0:
+    if fn(lo) * fn(hi) > 0:
         raise NumericError("guess outside the final bracket",
                            diagnostics={"lo": float(lo), "hi": float(hi),
                                         "guess": float(guess)})
     return (lo + hi) / 2
-
-
-_NEWTON_STEPS_MAX = 100
-
-
-def _newton(fn: Callable, dfn: Callable, lo, hi, rtol):
-    """Zero of fn in [lo, hi] by Newton steps from hi, to a step below rtol.
-
-    Suited to a monotone fn that is convex or concave on the bracket, where
-    every step stays inside it; a step that leaves the bracket, or no
-    convergence within _NEWTON_STEPS_MAX steps, raises NumericError.  rtol
-    must stay above the relative rounding noise of fn's zero.
-    """
-    flo = fn(lo)
-    fz = fn(hi)
-    if flo * fz > 0:
-        raise NumericError("no sign change in bracket",
-                           diagnostics={"lo": float(lo), "hi": float(hi)})
-    z = hi
-    for k in range(_NEWTON_STEPS_MAX):
-        if fz == 0:
-            return z
-        step = fz / dfn(z)
-        z_next = z - step
-        if not lo <= z_next <= hi:
-            raise NumericError("Newton step left the bracket",
-                               diagnostics={"lo": float(lo), "hi": float(hi),
-                                            "z": float(z_next), "iterations": k + 1})
-        z = z_next
-        if abs(step) <= abs(z) * rtol:
-            return z
-        fz = fn(z)
-    raise NumericError("Newton did not converge",
-                       diagnostics={"z": float(z), "step": float(step),
-                                    "iterations": _NEWTON_STEPS_MAX})
 
 
 def _check_precision(precision: int) -> None:
@@ -410,11 +411,10 @@ def _dominant_singularity(model: ModelId, n: int, precision: int, method: str,
                 raise DomainError("no closed form for %s" % model.value)
             return SingularityReport(model, n, *grammar.closed, method)
         zero = mp.mpf(0)
-        # Newton finds the zero to 2^8 ulps in a few steps; bisection then
-        # needs fn only near it, and gives the same bits as without the guess
-        guess = None if grammar.dcond is None else _newton(
-            grammar.cond, grammar.dcond, zero, grammar.hi, mp.eps * 2 ** 8)
-        rho = _bisect(grammar.cond, zero, grammar.hi, guess=guess)
+        # regula falsi finds rho to 2^8 ulps; bisection then evaluates cond
+        # only near it, and gives the same bits as without the guess
+        guess = _regula_falsi(grammar.cond, zero, grammar.hi, mp.eps * 2 ** 8)
+        rho = _bisect(grammar.cond, zero, grammar.hi, guess)
         return SingularityReport(model, n, rho, grammar.value_at(rho), method)
 
 
@@ -424,7 +424,6 @@ def _dominant_singularity(model: ModelId, n: int, precision: int, method: str,
 
 @dataclass
 class RatioResult:
-    kind: str
     value: object
     diagnostics: dict = field(default_factory=dict)
 
@@ -439,15 +438,14 @@ def _as_derivative_fn(obj: Evaluator) -> Callable:
 
 
 def limiting_ratio(numerator: Evaluator, denominator: Evaluator, rho,
-                   precision: int = DEFAULT_PRECISION,
-                   eps0: float = 1e-2, levels: int = 20,
-                   kind: str = "ratio") -> RatioResult:
+                   precision: int = DEFAULT_PRECISION) -> RatioResult:
     """lim_{z->rho} S'(z)/T'(z) by ladder evaluation plus extrapolation.
 
     numerator / denominator: a PowerSeries (its derivative is evaluated by
     Horner; accuracy is limited by the truncation order) or a callable
-    z -> S'(z).  The ladder is eps_k = eps0 * 2^-k; extrapolation is
-    Richardson in sqrt(eps), matching the square-root singular expansion.
+    z -> S'(z).  The ladder is eps_k = 10^-2 2^-k for k = 0..20;
+    extrapolation is Richardson in sqrt(eps), matching the square-root
+    singular expansion.
     """
     _check_precision(precision)
     with mp.workprec(precision):
@@ -455,13 +453,13 @@ def limiting_ratio(numerator: Evaluator, denominator: Evaluator, rho,
         fden = _as_derivative_fn(denominator)
         rho = mp.mpf(rho) if not isinstance(rho, mp.mpf) else rho
         ladder = []
-        for k in range(levels + 1):
-            eps = mp.mpf(eps0) * mp.mpf(2) ** -k
+        for k in range(21):
+            eps = mp.mpf(1e-2) * mp.mpf(2) ** -k
             z = rho * (1 - eps)
             ladder.append(fnum(z) / fden(z))
         # Richardson in sqrt(eps): ratio(eps) = L + a*sqrt(eps) + b*eps + ...
         rows = [list(ladder)]
-        for j in range(1, levels + 1):
+        for j in range(1, len(ladder)):
             prev = rows[-1]
             fac = mp.mpf(2) ** (mp.mpf(j) / 2) - 1
             rows.append([prev[k] + (prev[k] - prev[k - 1]) / fac
@@ -474,7 +472,7 @@ def limiting_ratio(numerator: Evaluator, denominator: Evaluator, rho,
             raise NumericError("ratio ladder failed to converge",
                                diagnostics={"ladder": [float(x) for x in ladder],
                                             "extrapolants": [float(x) for x in diag]})
-        return RatioResult(kind, value, {
+        return RatioResult(value, {
             "ladder": [float(x) for x in ladder],
             "extrapolants": [float(x) for x in diag],
             "error": float(err),
@@ -567,7 +565,7 @@ def fit_limit(ns, vals):
 
 
 def constant_estimate(model: ModelId, target: str,
-                      n_grid=(100, 200, 400),
+                      n_grid=DEFAULT_N_GRID,
                       precision: int = DEFAULT_PRECISION,
                       order: int = DEFAULT_ORDER):
     """Estimate the n->inf constant by fitting lambda + c/n over n_grid.

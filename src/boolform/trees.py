@@ -51,7 +51,7 @@ class ModelId(Enum):
 class Tree:
     """Immutable canonical tree.  Use Tree.leaf / Tree.internal / canonicalize."""
 
-    __slots__ = ("model", "literal", "conn", "children", "size", "_key", "_hash")
+    __slots__ = ("model", "literal", "conn", "children", "_key", "_hash")
 
     def __init__(self, model: ModelId, literal: Optional[Literal], conn: Optional[str],
                  children: tuple["Tree", ...], _internal: bool = False):
@@ -61,7 +61,6 @@ class Tree:
         self.literal = literal
         self.conn = conn
         self.children = children
-        self.size = 1 if literal is not None else sum(c.size for c in children)
         if literal is not None:
             key = (0, literal.var, 0 if literal.positive else 1)
         else:

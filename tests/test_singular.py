@@ -57,6 +57,26 @@ def test_branch_condition_changes_sign_on_the_bracket(model, n):
         assert grammar.cond(mp.mpf(0)) > 0 > grammar.cond(grammar.hi)
 
 
+def test_singular_finds_branch_points_without_derivatives():
+    # one derivative-free guess steers every branch-point bisection: no
+    # Newton, no derivative series but the ratio ladder's input, and no
+    # root search in the evaluators
+    tree = ast.parse(Path(singular.__file__).read_text())
+    owners = {"derivative": "_as_derivative_fn",
+              "_bisect": "_dominant_singularity"}
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.FunctionDef) and node.name == "_newton":
+                found.append((node.lineno, "def _newton"))
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name in owners and getattr(top, "name", None) != owners[name]:
+                    found.append((node.lineno, ast.unparse(node)))
+    assert not found, found
+
+
 def test_singular_names_models_only_in_the_reference_table():
     # each grammar states its own branch point, so singular.py tells the
     # models apart by their binary/plane shape and names them only in the
@@ -129,6 +149,20 @@ def test_numeric_error_beyond_branch_point():
     rep = dominant_singularity(ModelId.ASSOC_COMM, 2, order=48)
     with pytest.raises(NumericError):
         ev["T"](rep.rho * mp.mpf("1.2"))
+
+
+@pytest.mark.parametrize("prec", [60, 256])
+@pytest.mark.parametrize("n", [1, 2, 100, 300])
+def test_assoccomm_evaluator_reaches_the_branch_point(n, prec):
+    # T = 1 - c sqrt(1 - z/rho) + ..., so at rho, and one ulp past it, T is
+    # real and rounding moves it by O(sqrt(eps)) from the branch value 1
+    with mp.workprec(prec):
+        ev = analytic_evaluators(ModelId.ASSOC_COMM, n)
+        rho = dominant_singularity(ModelId.ASSOC_COMM, n, prec).rho
+        for z in (rho, rho * (1 + mp.eps)):
+            t = ev["T"](z)
+            assert isinstance(t, mp.mpf)
+            assert abs(t - 1) <= 2 * mp.sqrt(mp.eps)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
@@ -373,36 +407,61 @@ def test_singularity_report_is_frozen():
         rep.rho = 0
 
 
-def test_newton_raises_without_sign_change():
+def test_regula_falsi_raises_without_sign_change():
     with mp.workprec(128):
         with pytest.raises(NumericError, match="no sign change"):
-            singular._newton(lambda z: z * z + 1, lambda z: 2 * z,
-                             mp.mpf(0), mp.mpf(1), mp.eps)
+            singular._regula_falsi(lambda z: z * z + 1, mp.mpf(0), mp.mpf(1),
+                                   mp.eps)
 
 
-def test_newton_raises_when_a_step_leaves_the_bracket():
+@pytest.mark.parametrize("hi", [1, 0.9])
+def test_regula_falsi_stays_inside_the_bracket_on_a_cube_root(hi):
     # Newton on a cube root doubles the distance to the zero at every step
+    # and leaves the bracket; the secant of a bracket's ends stays inside
+    points = []
+
     def f(z):
+        points.append(z)
         return mp.sign(z - 0.5) * abs(z - 0.5) ** (mp.mpf(1) / 3)
 
-    def df(z):
-        return abs(z - 0.5) ** (-mp.mpf(2) / 3) / 3
-
     with mp.workprec(128):
-        with pytest.raises(NumericError, match="left the bracket"):
-            singular._newton(f, df, mp.mpf(0), mp.mpf(1), mp.eps)
+        lo, hi = mp.mpf(0), mp.mpf(hi)
+        zero = singular._regula_falsi(f, lo, hi, mp.eps)
+        assert abs(zero - 0.5) <= mp.eps
+    assert all(lo <= z <= hi for z in points)
 
 
-@pytest.mark.parametrize("prec", [60, 256])
-def test_bisection_with_a_newton_guess_gives_the_same_bits(prec):
-    def f(z):
-        return mp.cos(z) - z
+def _plain_bisect(fn, lo, hi):
+    # unguided bisection, the reference that guided bisection must match
+    flo = fn(lo)
+    steps = 2 * mp.mp.prec + int(mp.mag((hi - lo) / max(abs(lo), abs(hi))))
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        fm = fn(mid)
+        if fm == 0:
+            return mid
+        if flo * fm <= 0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+        if hi - lo < abs(mid) * mp.eps * 4:
+            return (lo + hi) / 2
+    raise AssertionError("plain bisection did not narrow the bracket")
 
+
+# plain bisection of assoccomm's condition at 256 bits takes seconds
+@pytest.mark.parametrize("case,prec", [
+    ("cos", 60), ("cos", 256), ("comm", 60), ("comm", 256), ("assoccomm", 60)])
+def test_bisection_with_a_regula_falsi_guess_gives_the_same_bits(case, prec):
     with mp.workprec(prec):
-        lo, hi = mp.mpf(0), mp.mpf(1)
-        guess = singular._newton(f, lambda z: -mp.sin(z) - 1, lo, hi,
-                                 mp.eps * 2 ** 8)
-        assert singular._bisect(f, lo, hi, guess=guess) == singular._bisect(f, lo, hi)
+        if case == "cos":
+            fn, hi = (lambda z: mp.cos(z) - z), mp.mpf(1)
+        else:
+            grammar = singular._grammar(ModelId(case), 12, 64)
+            fn, hi = grammar.cond, grammar.hi
+        lo = mp.mpf(0)
+        guess = singular._regula_falsi(fn, lo, hi, mp.eps * 2 ** 8)
+        assert singular._bisect(fn, lo, hi, guess) == _plain_bisect(fn, lo, hi)
 
 
 def test_bisection_raises_when_the_bracket_stays_wide():
@@ -411,7 +470,7 @@ def test_bisection_raises_when_the_bracket_stays_wide():
     with mp.workprec(128):
         with pytest.raises(NumericError, match="4 ulps") as info:
             singular._bisect(lambda z: z - mp.mpf(2) ** -384, mp.mpf(0),
-                             mp.mpf(1))
+                             mp.mpf(1), guess=mp.mpf(2) ** -384)
     assert info.value.diagnostics["steps"] == 257
 
 
