@@ -1,4 +1,9 @@
-"""Command-line surface; emits deterministic text, JSON, or CSV reports."""
+"""Command-line surface; emits deterministic text, JSON, or CSV reports.
+
+_COMMANDS declares every subcommand with its handler and its flags, and
+_FLAGS each flag's argparse arguments; run() turns --model into a ModelId
+once, and _emit adds the "command" and "schema" keys to every JSON report.
+"""
 
 from __future__ import annotations
 
@@ -32,6 +37,7 @@ def _model(name: str) -> ModelId:
 
 def _emit(args, payload: dict, text: str) -> None:
     if args.out == "json":
+        payload["command"] = args.subcommand
         payload["schema"] = SCHEMA
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -39,15 +45,13 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _cmd_count(args) -> None:
-    model = _model(args.model)
-    value = exhaustive.count_trees(model, args.size, args.vars)
-    _emit(args, {"command": "count", "model": model.value, "m": args.size,
-                 "n": args.vars, "count": str(value)}, str(value))
+    value = exhaustive.count_trees(args.model, args.size, args.vars)
+    _emit(args, {"model": args.model.value, "m": args.size, "n": args.vars,
+                 "count": str(value)}, str(value))
 
 
 def _cmd_distribution(args) -> None:
-    model = _model(args.model)
-    dist = exhaustive.distribution(model, args.size, args.vars)
+    dist = exhaustive.distribution(args.model, args.size, args.vars)
     if args.out == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -55,51 +59,41 @@ def _cmd_distribution(args) -> None:
         writer.writerows(dist.to_csv_rows())
         sys.stdout.write(buf.getvalue())
         return
-    payload = dist.to_json_dict()
     lines = ["%s %s" % row for row in dist.to_csv_rows()]
-    _emit(args, {"command": "distribution", **payload}, "\n".join(lines))
+    _emit(args, dist.to_json_dict(), "\n".join(lines))
 
 
 def _cmd_series(args) -> None:
-    model = _model(args.model)
     if args.kind == "base":
-        s = series.solve_model_series(model, args.vars, args.order)
+        s = series.solve_model_series(args.model, args.vars, args.order)
     elif args.kind == "half":
-        s = series.solve_half_series(model, args.vars, args.order)
+        s = series.solve_half_series(args.model, args.vars, args.order)
     else:
-        s = series.solve_aux_series(model, args.kind, args.vars, args.order)
+        s = series.solve_aux_series(args.model, args.kind, args.vars,
+                                    args.order)
     coeffs = s.to_json()
-    _emit(args, {"command": "series", "model": model.value, "n": args.vars,
-                 "kind": args.kind, "order": args.order, "coefficients": coeffs},
+    _emit(args, {"model": args.model.value, "n": args.vars, "kind": args.kind,
+                 "order": args.order, "coefficients": coeffs},
           "\n".join(coeffs))
 
 
 def _cmd_singularity(args) -> None:
-    model = _model(args.model)
-    rep = singular.singularity_report(model, args.vars, args.precision,
+    rep = singular.singularity_report(args.model, args.vars, args.precision,
                                       args.order)
     text = "\n".join("%s: %s" % (k, v) for k, v in
                      (("rho", rep["rho"]), ("value_at_rho", rep["value_at_rho"]),
                       ("method", rep["method"]),
                       ("true_const", rep["ratios"]["true_const"]),
                       ("literal_const", rep["ratios"]["literal_const"])))
-    _emit(args, {"command": "singularity", **rep}, text)
+    _emit(args, rep, text)
 
 
 def _cmd_ratio(args) -> None:
-    model = _model(args.model)
-    with mp.workprec(args.precision):
-        w1, w2 = singular.w_rates(model, args.vars, args.precision, args.order)
-        payload = {
-            "command": "ratio", "model": model.value, "n": args.vars,
-            "w1": mp.nstr(w1, 20), "w2": mp.nstr(w2, 20),
-            "true_const": mp.nstr(
-                singular.probability_true(model, args.vars, args.precision,
-                                          args.order), 20),
-            "literal_const": mp.nstr(
-                singular.probability_literal(model, args.vars, args.precision,
-                                             args.order), 20),
-        }
+    rep = singular.singularity_report(args.model, args.vars, args.precision,
+                                      args.order)
+    w1, w2 = singular.w_rates(args.model, args.vars, args.precision, args.order)
+    payload = {"model": args.model.value, "n": args.vars,
+               "w1": mp.nstr(w1, 20), "w2": mp.nstr(w2, 20), **rep["ratios"]}
     text = "\n".join("%s: %s" % (k, payload[k])
                      for k in ("w1", "w2", "true_const", "literal_const"))
     _emit(args, payload, text)
@@ -125,37 +119,32 @@ def _cmd_constants_table(args) -> None:
         "%-10s %-8s %-16s %-10s %-16s %s" % (
             r["model"], r["target"], r["computed"], r["errorbar"],
             r["published"], r["agrees"]) for r in rows]
-    _emit(args, {"command": "constants-table", "n_grid": list(grid),
-                 "rows": rows}, "\n".join(lines))
+    _emit(args, {"n_grid": list(grid), "rows": rows}, "\n".join(lines))
 
 
 def _cmd_verify_lemmas(args) -> None:
-    model = _model(args.model)
-    rep = patterns.verify_pattern_lemmas(model, args.max_size, args.vars)
+    rep = patterns.verify_pattern_lemmas(args.model, args.max_size, args.vars)
     status = "PASS" if rep.ok else "FAIL"
-    lines = ["%s trees=%d counterexamples=%d %s"
-             % (model.value, rep.trees_checked, len(rep.counterexamples), status)]
-    _emit(args, {"command": "verify-lemmas", "model": model.value,
-                 "max_size": args.max_size, "n": args.vars,
-                 "trees_checked": rep.trees_checked,
+    text = "%s trees=%d counterexamples=%d %s" % (
+        args.model.value, rep.trees_checked, len(rep.counterexamples), status)
+    _emit(args, {"model": args.model.value, "max_size": args.max_size,
+                 "n": args.vars, "trees_checked": rep.trees_checked,
                  "counterexamples": len(rep.counterexamples),
-                 "status": status}, "\n".join(lines))
+                 "status": status}, text)
     if not rep.ok:
         sys.exit(1)
 
 
 def _cmd_complexity(args) -> None:
-    model = _model(args.model)
     f = BoolFunc.from_string(args.fn)
     if f.is_constant():
-        _emit(args, {"command": "complexity", "model": model.value,
-                     "fn": args.fn, "L": 0, "M": 0},
+        _emit(args, {"model": args.model.value, "fn": args.fn, "L": 0, "M": 0},
               "L: 0 (constant function)")
         return
     # one search and one tally: the report carries L, M and both lambdas
-    report = _probability_vs_bounds(f, model, n_grid=(args.estimate_n,))
+    report = _probability_vs_bounds(f, args.model, n_grid=(args.estimate_n,))
     payload = {
-        "command": "complexity", "model": model.value, "fn": args.fn,
+        "model": args.model.value, "fn": args.fn,
         **{k: report[k] for k in ("L", "M", "lambda_T", "lambda_X")},
         "bounds": report["bounds"], "estimate": report["grid"][-1]["estimate"],
         "estimate_n": args.estimate_n,
@@ -174,83 +163,50 @@ def _cmd_complexity(args) -> None:
 
 
 def _cmd_report(args) -> None:
-    model = _model(args.model)
-    rep = singular.singularity_report(model, args.vars, args.precision,
+    rep = singular.singularity_report(args.model, args.vars, args.precision,
                                       args.order)
-    sanity = series.series_sanity(model, args.vars, min(args.order, 24))
+    sanity = series.series_sanity(args.model, args.vars, min(args.order, 24))
     rep["series_sanity"] = {k: v == 0 for k, v in sanity.checks.items()}
-    text = json.dumps(rep, sort_keys=True, indent=2)
-    _emit(args, {"command": "report", **rep}, text)
+    _emit(args, rep, json.dumps(rep, sort_keys=True, indent=2))
+
+
+# argparse keyword arguments of each flag
+_FLAGS = {
+    "model": dict(required=True),
+    "size": dict(type=int, required=True),
+    "kind": dict(default="base", choices=("base", "half") + series.AUX_KINDS),
+    "n-grid": dict(default=",".join(str(n) for n in singular.DEFAULT_N_GRID)),
+    "max-size": dict(type=int, required=True),
+    "fn": dict(required=True, help="truth table, e.g. n:3:ea"),
+    "estimate-n": dict(type=int, default=200),
+    "out": dict(choices=("json", "csv", "text"), default="text"),
+    "vars": dict(type=int, required=True),
+    "order": dict(type=int, default=series.DEFAULT_ORDER),
+    "precision": dict(type=int, default=singular.DEFAULT_PRECISION),
+}
+
+# every subcommand: its handler and its flags, in --help order
+_COMMANDS = {
+    "count": (_cmd_count, "model size out vars"),
+    "distribution": (_cmd_distribution, "model size out vars"),
+    "series": (_cmd_series, "model kind out vars order"),
+    "singularity": (_cmd_singularity, "model out vars order precision"),
+    "ratio": (_cmd_ratio, "model out vars order precision"),
+    "constants-table": (_cmd_constants_table, "n-grid out order precision"),
+    "verify-lemmas": (_cmd_verify_lemmas, "model max-size out vars"),
+    "complexity": (_cmd_complexity, "model fn estimate-n out"),
+    "report": (_cmd_report, "model out vars order precision"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="boolform")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, vars_=True, order=False, precision=False):
-        p.add_argument("--out", choices=("json", "csv", "text"), default="text")
-        if vars_:
-            p.add_argument("--vars", type=int, required=True)
-        if order:
-            p.add_argument("--order", type=int, default=series.DEFAULT_ORDER)
-        if precision:
-            p.add_argument("--precision", type=int,
-                           default=singular.DEFAULT_PRECISION)
-
-    p = sub.add_parser("count")
-    p.add_argument("--model", required=True)
-    p.add_argument("--size", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_count)
-
-    p = sub.add_parser("distribution")
-    p.add_argument("--model", required=True)
-    p.add_argument("--size", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_distribution)
-
-    p = sub.add_parser("series")
-    p.add_argument("--model", required=True)
-    p.add_argument("--kind", default="base",
-                   choices=("base", "half") + series.AUX_KINDS)
-    common(p, order=True)
-    p.set_defaults(handler=_cmd_series)
-
-    p = sub.add_parser("singularity")
-    p.add_argument("--model", required=True)
-    common(p, order=True, precision=True)
-    p.set_defaults(handler=_cmd_singularity)
-
-    p = sub.add_parser("ratio")
-    p.add_argument("--model", required=True)
-    common(p, order=True, precision=True)
-    p.set_defaults(handler=_cmd_ratio)
-
-    p = sub.add_parser("constants-table")
-    p.add_argument("--n-grid", default=",".join(
-        str(n) for n in singular.DEFAULT_N_GRID))
-    common(p, vars_=False, order=True, precision=True)
-    p.set_defaults(handler=_cmd_constants_table)
-
-    p = sub.add_parser("verify-lemmas")
-    p.add_argument("--model", required=True)
-    p.add_argument("--max-size", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_verify_lemmas)
-
-    p = sub.add_parser("complexity")
-    p.add_argument("--model", required=True)
-    p.add_argument("--fn", required=True,
-                   help="truth table, e.g. n:3:ea")
-    p.add_argument("--estimate-n", type=int, default=200)
-    common(p, vars_=False)
-    p.set_defaults(handler=_cmd_complexity)
-
-    p = sub.add_parser("report")
-    p.add_argument("--model", required=True)
-    common(p, order=True, precision=True)
-    p.set_defaults(handler=_cmd_report)
-
+    for name, (handler, flags) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        for flag in flags.split():
+            p.add_argument("--" + flag, **_FLAGS[flag])
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -261,6 +217,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        if hasattr(args, "model"):
+            args.model = _model(args.model)
         args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)

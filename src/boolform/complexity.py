@@ -269,6 +269,8 @@ def probability_vs_bounds(
     When the limit falls outside the bounds, `reason` names the missed
     bound and the gap.
     """
+    if not n_grid:
+        raise DomainError("n_grid needs at least one value")
     ts = complexity(f, model)
     tally = enumerate_expansions(ts)
     bounds = _bounds_formula(model, ts.L, ts.M)

@@ -245,6 +245,8 @@ def labelling_count(l: int, k: int, m: int, n: int, v: int,
     prescribed variables appearing there.  The plane count labels all m
     leaves; the mobile variant labels the pattern leaves only.
     """
+    if not (0 <= v <= n and 0 <= l <= m):
+        raise DomainError("need 0 <= v <= n and 0 <= l <= m")
     total = 0
     for r in range(0, k + 1):
         d = l - r  # distinct pattern variables

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import mpmath as mp
 
@@ -43,13 +43,12 @@ class _SeriesEval:
 
     Each exact coefficient is converted to mpf once per working precision,
     as mpf(numerator)/mpf(denominator) at that precision, and each value is
-    kept per (precision, argument) for the life of the evaluator.  With
-    tail_check, a geometric tail that is not negligible raises NumericError.
+    kept per (precision, argument) for the life of the evaluator.  A
+    geometric tail that is not negligible raises NumericError.
     """
 
-    def __init__(self, s: PowerSeries, tail_check: bool = True):
+    def __init__(self, s: PowerSeries):
         self.coeffs = s.coeffs
-        self.tail_check = tail_check
         self._by_prec: dict = {}  # precision -> (mpf coefficients, values)
 
     def __call__(self, z):
@@ -66,13 +65,12 @@ class _SeriesEval:
         acc = mp.mpf(0)
         for c in reversed(coeffs):
             acc = acc * z + c
-        if self.tail_check:
-            tail = abs(coeffs[-1] * z ** (len(coeffs) - 1))
-            # geometric tail estimate must be well below the needed accuracy
-            if tail > (abs(acc) + mp.mpf("1e-30")) * mp.mpf("1e-25"):
-                raise NumericError("series tail not negligible at z=%s" % z,
-                                   diagnostics={"tail": float(tail),
-                                                "value": float(acc)})
+        tail = abs(coeffs[-1] * z ** (len(coeffs) - 1))
+        # geometric tail estimate must be well below the needed accuracy
+        if tail > (abs(acc) + mp.mpf("1e-30")) * mp.mpf("1e-25"):
+            raise NumericError("series tail not negligible at z=%s" % z,
+                               diagnostics={"tail": float(tail),
+                                            "value": float(acc)})
         seen[z] = acc
         return acc
 
@@ -428,35 +426,23 @@ class RatioResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-Evaluator = Union[PowerSeries, Callable]
-
-
-def _as_derivative_fn(obj: Evaluator) -> Callable:
-    if isinstance(obj, PowerSeries):
-        return _SeriesEval(obj.derivative(), tail_check=False)
-    return obj
-
-
-def limiting_ratio(numerator: Evaluator, denominator: Evaluator, rho,
+def limiting_ratio(numerator: Callable, denominator: Callable, rho,
                    precision: int = DEFAULT_PRECISION) -> RatioResult:
     """lim_{z->rho} S'(z)/T'(z) by ladder evaluation plus extrapolation.
 
-    numerator / denominator: a PowerSeries (its derivative is evaluated by
-    Horner; accuracy is limited by the truncation order) or a callable
-    z -> S'(z).  The ladder is eps_k = 10^-2 2^-k for k = 0..20;
+    numerator / denominator: callables z -> S'(z) and z -> T'(z), which must
+    hold up to rho.  The ladder is eps_k = 10^-2 2^-k for k = 0..20;
     extrapolation is Richardson in sqrt(eps), matching the square-root
     singular expansion.
     """
     _check_precision(precision)
     with mp.workprec(precision):
-        fnum = _as_derivative_fn(numerator)
-        fden = _as_derivative_fn(denominator)
         rho = mp.mpf(rho) if not isinstance(rho, mp.mpf) else rho
         ladder = []
         for k in range(21):
             eps = mp.mpf(1e-2) * mp.mpf(2) ** -k
             z = rho * (1 - eps)
-            ladder.append(fnum(z) / fden(z))
+            ladder.append(numerator(z) / denominator(z))
         # Richardson in sqrt(eps): ratio(eps) = L + a*sqrt(eps) + b*eps + ...
         rows = [list(ladder)]
         for j in range(1, len(ladder)):
@@ -522,8 +508,9 @@ def probability_true(model: ModelId, n: int,
     n * P_n(True), where P_n(True) = lim_m P_{m,n}(True), but at a fixed n
     it is a different value.
     """
-    w1, _ = _rates(model, n, precision, order)
-    return n * w1
+    with mp.workprec(precision):
+        w1, _ = _rates(model, n, precision, order)
+        return n * w1
 
 
 def probability_literal(model: ModelId, n: int,

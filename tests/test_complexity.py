@@ -144,6 +144,12 @@ def test_catalan_and_bounds_frozen():
     assert b.upper == (4 * 4 + 8 - 3) * 2 / 16.0 ** 2
 
 
+def test_probability_vs_bounds_rejects_an_empty_grid():
+    # an empty grid raised IndexError after the search
+    with pytest.raises(DomainError, match="n_grid"):
+        probability_vs_bounds(AND12, ModelId.CATALAN, n_grid=())
+
+
 def test_probability_vs_bounds_internal_consistency():
     rep = probability_vs_bounds(AND12, ModelId.CATALAN, n_grid=(100, 200))
     assert rep["within_bounds"] is True

@@ -3,6 +3,7 @@ import types
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boolform import exhaustive
 from boolform.boolfun import BoolFunc, Literal
@@ -154,6 +155,13 @@ def test_distribution_agrees_with_generation(model):
         gen = distribution_by_generation(model, m, 2)
         assert dp.counts == gen.counts
         assert dp.total == sum(dp.counts.values()) == count_trees(model, m, 2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(ALL_MODELS), st.integers(1, 4), st.integers(1, 2))
+def test_distribution_agrees_with_generation_on_random_sizes(model, m, n):
+    assert (distribution(model, m, n).counts
+            == distribution_by_generation(model, m, n).counts)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)

@@ -179,6 +179,15 @@ def test_labelling_count_against_brute_force(l, m, n, v, plane):
         assert labelling_count(l, k, m, n, v, plane=plane) == got.get(k, 0)
 
 
+@pytest.mark.parametrize("l,k,m,n,v", [
+    (1, 0, 1, 2, 3),  # v = 3 prescribed variables of n = 2 counted -2
+    (3, 0, 2, 1, 0),  # l = 3 pattern leaves of m = 2 leaves gave 0.0
+])
+def test_labelling_count_rejects_out_of_range_arguments(l, k, m, n, v):
+    with pytest.raises(DomainError):
+        labelling_count(l, k, m, n, v)
+
+
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_lemmas_hold_at_small_sizes(model):
     shapes = [list(_generate(model, m, (None,), _shape_node))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from boolform.cli import run
+from boolform.cli import _COMMANDS, run
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORDED = Path(__file__).resolve().parent / "data" / "readme_cli.txt"
@@ -39,6 +39,10 @@ def render(command: str, capsys) -> str:
 
 def test_readme_lists_the_recorded_commands():
     assert readme_commands() == list(recorded_blocks())
+
+
+def test_readme_shows_every_command():
+    assert {shlex.split(c)[1] for c in readme_commands()} == set(_COMMANDS)
 
 
 @pytest.mark.parametrize("command", readme_commands())

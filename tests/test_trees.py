@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from boolform.boolfun import BoolFunc, Literal
 from boolform.errors import InputError
@@ -91,8 +91,9 @@ def test_compute_function_rejects_n_below_largest_variable():
 
 
 @st.composite
-def small_trees(draw):
-    """(tree, n): a random tree of any model over at most n <= 3 variables."""
+def raw_trees(draw):
+    """(raw, model, n): nested (conn, [children]) / Literal data of a random
+    tree of any model over at most n <= 3 variables."""
     model = draw(st.sampled_from(list(ModelId)))
     n = draw(st.integers(1, 3))
 
@@ -104,7 +105,31 @@ def small_trees(draw):
         kid_conns = (AND, OR) if model.binary else (opposite(conn),)
         return (conn, [build(kid_conns, budget // arity) for _ in range(arity)])
 
-    return canonicalize(build((AND, OR), 8), model), n
+    return build((AND, OR), 8), model, n
+
+
+def small_trees():
+    """(tree, n): a random tree of any model over at most n <= 3 variables."""
+    return raw_trees().map(lambda r: (canonicalize(r[0], r[1]), r[2]))
+
+
+def _raw(t):
+    return t.literal if t.is_leaf() else (t.conn, [_raw(c) for c in t.children])
+
+
+@settings(max_examples=50)
+@given(small_trees())
+def test_format_parse_roundtrip_on_every_model(tree_n):
+    t, _ = tree_n
+    assert parse_tree(format_tree(t), t.model) == t
+
+
+@settings(max_examples=50)
+@given(raw_trees())
+def test_canonicalize_is_idempotent_on_the_raw_form(raw_model_n):
+    raw, model, _ = raw_model_n
+    t = canonicalize(raw, model)
+    assert canonicalize(_raw(t), model) == t
 
 
 def _value(t, bits):
