@@ -185,56 +185,51 @@ def lambda_bounds(f: BoolFunc, model: ModelId) -> Bounds:
     `probability_vs_bounds(x1, comm)` reports `within_bounds: False` and
     says why in `reason`.
     """
-    return _bounds_formula(model, *_lm(f, model))
+    return _published(model, *_lm(f, model))[0]
 
 
-def _bounds_formula(model: ModelId, L: int, M: int) -> Bounds:
+def _published(model: ModelId, L: int, M: int) -> tuple[Bounds, Bounds, Bounds]:
+    """The published bounds on lambda_f and on lambda_X, and the lambda_T
+    reference (an exact value for the binary models), in that order."""
     if model is ModelId.CATALAN:
+        # per-leaf sites give 4L, fathers add 2*ceil(L/2) once L > 1
         ell = (L + 1) // 2 if L > 1 else 0
-        return Bounds((8 * L - 3 + ell) * M / 16.0 ** L,
-                      (4 * L * L + 4 * L - 3) * M / 16.0 ** L, False)
-    if model is ModelId.ASSOC:
+        pairs = (((8 * L - 3 + ell) * M / 16.0 ** L,
+                  (4 * L * L + 4 * L - 3) * M / 16.0 ** L),
+                 ((4 * L + 2 * ell) * M, 4 * L * (2 * L - 1) * M),
+                 (4 * (2 * L - 1) * M,) * 2)
+    elif model is ModelId.ASSOC:
         c = ((3 - 2 * SQRT2) / 2) ** L
-        lo = c * (133 * L + 153 - (93 * L + 108) * SQRT2) * M
-        hi = c * (-(12 * L * L - 247 * L + 51)
-                  + (9 * L * L - 174 * L + 36) * SQRT2) * M
-        return Bounds(lo, hi, L == 1)
-    if model is ModelId.COMM:
-        return Bounds((1794 * L - 641) * M / (512.0 * 8 ** L),
-                      (2 * L - 1) * (512 * L + 641) * M / (512.0 * 8 ** L), False)
-    c = ((2 * LN2 - 1) / 2) ** L
-    lo = c * ((LN2 ** 2 - 0.25) * L + LN2 ** 2 - 2 * LN2 + 0.5) * M
-    hi = c * (2 * LN2 - 1) * (L + 1 + 4 * LN2) * L / 4 * M
-    return Bounds(lo, hi, L == 1)
+        # lambda_T's derivation assumes at least one internal node
+        pairs = ((c * (133 * L + 153 - (93 * L + 108) * SQRT2) * M,
+                  c * (-(12 * L * L - 247 * L + 51)
+                       + (9 * L * L - 174 * L + 36) * SQRT2) * M),
+                 (5 * L * M, L * (3 * L + 2) * M),
+                 (3 * (L + 1) * M, (5 * L - 1) * M))
+    elif model is ModelId.COMM:
+        pairs = (((1794 * L - 641) * M / (512.0 * 8 ** L),
+                  (2 * L - 1) * (512 * L + 641) * M / (512.0 * 8 ** L)),
+                 (2 * L * M, 2 * L * (2 * L - 1) * M),
+                 (2 * (2 * L - 1) * M,) * 2)
+    else:
+        c = ((2 * LN2 - 1) / 2) ** L
+        pairs = ((c * ((LN2 ** 2 - 0.25) * L + LN2 ** 2 - 2 * LN2 + 0.5) * M,
+                  c * (2 * LN2 - 1) * (L + 1 + 4 * LN2) * L / 4 * M),
+                 (2 * L * M, (L * L + 3 * L) * M),
+                 ((L + 2) * M, 2 * L * M))
+    # the stratified models' bounds are stated for L > 1 only
+    restricted = model.stratified and L == 1
+    return tuple(Bounds(lo, hi, restricted) for lo, hi in pairs)
 
 
 def lambda_x_bounds(f: BoolFunc, model: ModelId) -> Bounds:
     """Bounds on the X-expansion tally lambda_X(f)."""
-    L, M = _lm(f, model)
-    if model is ModelId.CATALAN:
-        # per-leaf sites give 4L, fathers add 2*ceil(L/2) once L > 1
-        ell = (L + 1) // 2 if L > 1 else 0
-        return Bounds((4 * L + 2 * ell) * M, 4 * L * (2 * L - 1) * M, False)
-    if model is ModelId.ASSOC:
-        return Bounds(5 * L * M, L * (3 * L + 2) * M, L == 1)
-    if model is ModelId.COMM:
-        return Bounds(2 * L * M, 2 * L * (2 * L - 1) * M, False)
-    return Bounds(2 * L * M, (L * L + 3 * L) * M, L == 1)
+    return _published(model, *_lm(f, model))[1]
 
 
 def lambda_t_reference(f: BoolFunc, model: ModelId) -> Bounds:
     """Exact value (binary models) or bounds on the T-expansion tally."""
-    L, M = _lm(f, model)
-    if model is ModelId.CATALAN:
-        v = 4 * (2 * L - 1) * M
-        return Bounds(v, v, False)
-    if model is ModelId.COMM:
-        v = 2 * (2 * L - 1) * M
-        return Bounds(v, v, False)
-    if model is ModelId.ASSOC:
-        # derivation assumes at least one internal node
-        return Bounds(3 * (L + 1) * M, (5 * L - 1) * M, L == 1)
-    return Bounds((L + 2) * M, 2 * L * M, L == 1)
+    return _published(model, *_lm(f, model))[2]
 
 
 def _tol(bounds: Bounds) -> float:
@@ -273,7 +268,7 @@ def probability_vs_bounds(
         raise DomainError("n_grid needs at least one value")
     ts = complexity(f, model)
     tally = enumerate_expansions(ts)
-    bounds = _bounds_formula(model, ts.L, ts.M)
+    bounds = _published(model, ts.L, ts.M)[0]
     rows = []
     for n in n_grid:
         rho = float(singular.dominant_singularity(model, n).rho)

@@ -216,6 +216,8 @@ def minimal_embedding(t: Tree, p: PatternId, depth: int = 1) -> PatternMatch:
 
 @lru_cache(maxsize=None)
 def stirling2(l: int, j: int) -> int:
+    if l < 0 or j < 0:
+        raise DomainError("stirling2 needs l, j >= 0")
     if l == j == 0:
         return 1
     if l == 0 or j == 0 or j > l:
@@ -232,8 +234,11 @@ def _falling(a: int, b: int) -> int:
 
 def labelling_weight(v: int, k: int, l: int) -> int:
     """w_{v,k}(l): the l-dependent part of the k-restriction labelling count."""
+    if min(v, k, l) < 0:
+        raise DomainError("labelling_weight needs v, k, l >= 0")
+    # terms with r > l have no l - r distinct pattern variables
     return sum(stirling2(l, l - r) * comb(v, k - r) * _falling(l - r, k - r)
-               for r in range(0, k + 1))
+               for r in range(0, min(k, l) + 1))
 
 
 def labelling_count(l: int, k: int, m: int, n: int, v: int,

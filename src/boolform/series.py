@@ -162,11 +162,6 @@ class PowerSeries:
             a.order, a.val * k,
             lambda m: 0 if m % k else a._upto(m // k)[m // k])
 
-    def derivative(self) -> "PowerSeries":
-        a = self
-        return PowerSeries._online(max(a.order - 1, 0), 0,
-                                   lambda m: (m + 1) * a[m + 1])
-
     # -- export --------------------------------------------------------
 
     def to_json(self) -> list[str]:
@@ -301,14 +296,18 @@ def _base_rhs(model: ModelId, n: int):
     return rhs
 
 
-@lru_cache(maxsize=None)
-def _solve_base(model: ModelId, n: int, order: int) -> PowerSeries:
-    # every series entry point comes through here; solved series are
-    # treated as immutable and cached per (model, n, order)
+def _check_size(n: int, order: int) -> None:
     if n < 1:
         raise DomainError("n must be >= 1")
     if order < 1:
         raise DomainError("order must be >= 1")
+
+
+@lru_cache(maxsize=None)
+def _solve_base(model: ModelId, n: int, order: int) -> PowerSeries:
+    # every series entry point comes through here; solved series are
+    # treated as immutable and cached per (model, n, order)
+    _check_size(n, order)
     return solve_equation(_base_rhs(model, n), order)
 
 

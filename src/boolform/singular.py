@@ -11,7 +11,8 @@ independent check of them.
 
 One record per grammar (pairs, SEQ, MSET) states its branch point: value
 closures, branch condition and bracket, value at rho, closed form and rates.
-dominant_singularity, the rates and analytic_evaluators only read its fields;
+Each branch point is solved once, into one cached SingularityReport of rho,
+the value there, the rates and both constants, which every entry point reads;
 one derivative-free regula falsi guess steers every branch-point bisection.
 
 Near the singularity the truncated series are useless (the tail decays
@@ -30,7 +31,7 @@ from typing import Callable, Optional
 import mpmath as mp
 
 from .errors import DomainError, NumericError
-from .series import (DEFAULT_ORDER, PowerSeries, _simple_x_factor,
+from .series import (DEFAULT_ORDER, PowerSeries, _check_size, _simple_x_factor,
                      solve_aux_series, solve_half_series, solve_model_series)
 from .trees import ModelId
 
@@ -270,6 +271,7 @@ def _eval_stratified(model: ModelId, n: int, order: int) -> _Grammar:
 
 
 def _grammar(model: ModelId, n: int, order: int) -> _Grammar:
+    _check_size(n, order)
     return (_eval_binary if model.binary else _eval_stratified)(model, n, order)
 
 
@@ -288,16 +290,25 @@ def analytic_evaluators(model: ModelId, n: int, order: int = DEFAULT_ORDER):
 
 @dataclass(frozen=True)
 class SingularityReport:
-    """The dominant singularity rho of a model's series at n variables.
+    """Everything known at a model's branch point at n variables.
 
-    value_at_rho is T(rho) for catalan, assoc and comm (whose 1/2 can carry a
-    complex rounding residue); for assoccomm (MSET) the half series
-    hat(rho) = 1/2 + n rho, where T(rho) = 1 exactly."""
+    rho is the dominant singularity, found by method ("closed-form" or
+    "numeric-system").  value_at_rho is T(rho) for catalan, assoc and comm
+    (whose 1/2 can carry a complex rounding residue), for assoccomm (MSET) the
+    half series hat(rho) = 1/2 + n rho, where T(rho) = 1 exactly.  w1 and w2
+    are the rates there (w_rates), true_const = n w1 and literal_const = n^2 c
+    rho (w1 + w2), c the simple-x factor.  All are read at the record's rho:
+    numeric-system records of catalan and assoc carry them at the numeric rho,
+    w_rates and the probabilities read the default method's."""
     model: ModelId
     n: int
     rho: object
     value_at_rho: object
     method: str
+    w1: object
+    w2: object
+    true_const: object
+    literal_const: object
 
 
 def _regula_falsi(fn: Callable, lo, hi, rtol):
@@ -388,9 +399,7 @@ def dominant_singularity(model: ModelId, n: int,
                          precision: int = DEFAULT_PRECISION,
                          method: Optional[str] = None,
                          order: int = DEFAULT_ORDER) -> SingularityReport:
-    """Smallest positive singularity of the model series and its value there."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    """The record at the smallest positive singularity of the model series."""
     _check_precision(precision)
     if method is None:
         method = "closed-form" if model.plane else "numeric-system"
@@ -407,13 +416,21 @@ def _dominant_singularity(model: ModelId, n: int, precision: int, method: str,
         if method == "closed-form":
             if grammar.closed is None:
                 raise DomainError("no closed form for %s" % model.value)
-            return SingularityReport(model, n, *grammar.closed, method)
-        zero = mp.mpf(0)
-        # regula falsi finds rho to 2^8 ulps; bisection then evaluates cond
-        # only near it, and gives the same bits as without the guess
-        guess = _regula_falsi(grammar.cond, zero, grammar.hi, mp.eps * 2 ** 8)
-        rho = _bisect(grammar.cond, zero, grammar.hi, guess)
-        return SingularityReport(model, n, rho, grammar.value_at(rho), method)
+            rho, value = grammar.closed
+        else:
+            zero = mp.mpf(0)
+            # bisection evaluates cond only near a 2^8-ulp regula falsi guess
+            guess = _regula_falsi(grammar.cond, zero, grammar.hi, mp.eps * 256)
+            rho = _bisect(grammar.cond, zero, grammar.hi, guess)
+            value = grammar.value_at(rho)
+        w1, w2 = grammar.rates(rho)
+        if not all(isinstance(w, mp.mpf) and w > 0 for w in (w1, w2)):
+            raise NumericError("branch-point rates are not positive reals",
+                               diagnostics={"model": model.value, "n": n,
+                                            "w1": str(w1), "w2": str(w2)})
+        literal = mp.mpf(n) ** 2 * _simple_x_factor(model) * rho * (w1 + w2)
+        return SingularityReport(model, n, rho, value, method, w1, w2,
+                                 n * w1, literal)
 
 
 # ---------------------------------------------------------------------------
@@ -469,19 +486,6 @@ def limiting_ratio(numerator: Callable, denominator: Callable, rho,
 # constants
 
 
-@lru_cache(maxsize=None)
-def _rates(model: ModelId, n: int, precision: int, order: int):
-    """(w1, w2) = (n dST^x/dT, dg_x/dT) at the branch point, high precision."""
-    with mp.workprec(precision):
-        rho = dominant_singularity(model, n, precision, order=order).rho
-        w1, w2 = _grammar(model, n, order).rates(rho)
-        if not all(isinstance(w, mp.mpf) and w > 0 for w in (w1, w2)):
-            raise NumericError("branch-point rates are not positive reals",
-                               diagnostics={"model": model.value, "n": n,
-                                            "w1": str(w1), "w2": str(w2)})
-        return w1, w2
-
-
 def w_rates(model: ModelId, n: int, precision: int = DEFAULT_PRECISION,
             order: int = DEFAULT_ORDER):
     """Per-literal rates w1 = n * lim ST^x_m / T_m and w2 = lim g_x_m / T_m.
@@ -496,7 +500,8 @@ def w_rates(model: ModelId, n: int, precision: int = DEFAULT_PRECISION,
     point (rho, tau), so lim S_m/T_m = dG/dT there; tau comes from the
     branch condition, not from a square root of a vanishing discriminant.
     """
-    return _rates(model, n, precision, order)
+    rep = dominant_singularity(model, n, precision, order=order)
+    return rep.w1, rep.w2
 
 
 def probability_true(model: ModelId, n: int,
@@ -508,9 +513,7 @@ def probability_true(model: ModelId, n: int,
     n * P_n(True), where P_n(True) = lim_m P_{m,n}(True), but at a fixed n
     it is a different value.
     """
-    with mp.workprec(precision):
-        w1, _ = _rates(model, n, precision, order)
-        return n * w1
+    return dominant_singularity(model, n, precision, order=order).true_const
 
 
 def probability_literal(model: ModelId, n: int,
@@ -521,10 +524,7 @@ def probability_literal(model: ModelId, n: int,
     Combines the two simple-x shapes: a factor (4 rho plane / 2 rho
     non-plane) times (tautology part + repeated-literal part).
     """
-    with mp.workprec(precision):
-        w1, w2 = _rates(model, n, precision, order)
-        rho = dominant_singularity(model, n, precision, order=order).rho
-        return mp.mpf(n) ** 2 * _simple_x_factor(model) * rho * (w1 + w2)
+    return dominant_singularity(model, n, precision, order=order).literal_const
 
 
 REFERENCE_CONSTANTS = {
@@ -567,15 +567,11 @@ def constant_estimate(model: ModelId, target: str,
     if len(set(n_grid)) < 3:
         raise DomainError("n_grid needs at least 3 distinct values")
     grid = sorted(n_grid)
+    attr = "true_const" if target == "True" else "literal_const"
     with mp.workprec(precision):
-        ys = []
-        for n in grid:
-            if target == "True":
-                ys.append(probability_true(model, n, precision, order))
-            else:
-                ys.append(probability_literal(model, n, precision, order))
-        lam = fit_limit(grid, ys)
-        lam2 = fit_limit(grid[1:], ys[1:])
+        ys = [getattr(dominant_singularity(model, n, precision, order=order),
+                      attr) for n in grid]
+        lam, lam2 = fit_limit(grid, ys), fit_limit(grid[1:], ys[1:])
         return lam, abs(lam - lam2)
 
 
@@ -585,7 +581,6 @@ def singularity_report(model: ModelId, n: int,
     """JSON-ready summary for one (model, n)."""
     with mp.workprec(precision):
         rep = dominant_singularity(model, n, precision, order=order)
-        w1, w2 = w_rates(model, n, precision, order)
         return {
             "model": model.value,
             "n": n,
@@ -593,8 +588,8 @@ def singularity_report(model: ModelId, n: int,
             "value_at_rho": mp.nstr(rep.value_at_rho, 30),
             "method": rep.method,
             "ratios": {
-                "true_const": mp.nstr(probability_true(model, n, precision, order), 20),
-                "literal_const": mp.nstr(probability_literal(model, n, precision, order), 20),
+                "true_const": mp.nstr(rep.true_const, 20),
+                "literal_const": mp.nstr(rep.literal_const, 20),
             },
             "diagnostics": {"precision_bits": precision, "order": order},
         }

@@ -201,13 +201,11 @@ def _tokenize(text: str) -> list[str]:
 def _parse_atom(token: str) -> Literal:
     neg = token.startswith("~")
     body = token[1:] if neg else token
-    if not body.startswith("x"):
+    digits = body[1:]
+    # int() would also take "1_0", "+2" and non-ASCII digits
+    if not (body.startswith("x") and digits.isascii() and digits.isdigit()):
         raise StructureError("bad leaf token %r" % token)
-    try:
-        var = int(body[1:])
-    except ValueError as exc:
-        raise StructureError("bad leaf token %r" % token) from exc
-    return Literal(var, not neg)
+    return Literal(int(digits), not neg)
 
 
 def parse_tree(text: str, model: ModelId) -> Tree:

@@ -107,6 +107,8 @@ def test_missing_flag_is_usage_error(capsys):
     ["singularity", "--model", "catalan", "--vars", "3", "--precision", "0"],
     ["singularity", "--model", "comm", "--vars", "3", "--precision", "-3"],
     ["ratio", "--model", "assoc", "--vars", "3", "--precision", "1"],
+    ["singularity", "--model", "assoc", "--vars", "1", "--order", "-5"],
+    ["ratio", "--model", "catalan", "--vars", "1", "--order", "0"],
     ["constants-table", "--n-grid", "5,5,5"],
 ])
 def test_out_of_range_vars_or_order_is_usage_error(capsys, argv):

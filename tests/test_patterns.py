@@ -156,6 +156,16 @@ def test_stirling_numbers():
     assert stirling2(3, 5) == 0
 
 
+def test_negative_arguments_are_domain_errors():
+    # stirling2(l, l) recursed without end for l < 0
+    for l, j in ((-1, -1), (-3, -3), (2, -1)):
+        with pytest.raises(DomainError):
+            stirling2(l, j)
+    for v, k, l in ((2, 1, -1), (-1, 1, 2), (1, -1, 2)):
+        with pytest.raises(DomainError):
+            labelling_weight(v, k, l)
+
+
 def test_labelling_weight_small_values():
     # w_{v,k}(l) for l=2: S2(2,2)=1, S2(2,1)=1
     assert labelling_weight(1, 1, 2) == 3  # r=0: C(1,1)*2 ; r=1: S2(2,1)*C(1,0)

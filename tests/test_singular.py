@@ -360,7 +360,7 @@ def test_w_rates_run_no_ladder(monkeypatch):
         raise AssertionError("the rates route ran the ratio ladder")
 
     monkeypatch.setattr(singular, "limiting_ratio", no_ladder)
-    singular._rates.cache_clear()
+    singular._dominant_singularity.cache_clear()
     for model in ALL_MODELS:
         w1, w2 = w_rates(model, 10)
         assert w1 > 0 and w2 > 0
@@ -372,11 +372,11 @@ def test_w_rates_raise_on_a_complex_rate(monkeypatch):
     monkeypatch.setattr(singular, "_grammar", lambda model, n, order: (
         dataclasses.replace(grammar(model, n, order),
                             rates=lambda rho: (mp.mpc(1, 1e-40), mp.mpf(1)))))
-    singular._rates.cache_clear()
+    singular._dominant_singularity.cache_clear()
     with pytest.raises(NumericError) as info:
         w_rates(ModelId.CATALAN, 7)
     assert info.value.diagnostics["n"] == 7
-    singular._rates.cache_clear()
+    singular._dominant_singularity.cache_clear()
 
 
 @pytest.mark.parametrize("n", [1, 2, 10])
@@ -398,12 +398,38 @@ def test_singularity_report_solves_each_branch_point_once(monkeypatch):
 
     monkeypatch.setattr(singular, "_bisect", counting)
     singular._dominant_singularity.cache_clear()
-    singular._rates.cache_clear()
     for key in ((ModelId.COMM, 12), (ModelId.ASSOC_COMM, 12)):
         singularity_report(*key, order=32)
         # the default method and the explicit one share the cached solve
         dominant_singularity(*key, method="numeric-system", order=32)
     assert calls == [(ModelId.COMM, 12), (ModelId.ASSOC_COMM, 12)]
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_singularity_report_builds_each_grammar_once(monkeypatch, model):
+    # rho, the rates and both constants come from one record per branch point
+    calls = []
+    build = singular._grammar
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(singular, "_grammar", counting)
+    singular._dominant_singularity.cache_clear()
+    singularity_report(model, 30, order=32)
+    singular._dominant_singularity.cache_clear()
+    assert calls == [(model, 30, 32)]
+
+
+def test_singular_layer_rejects_n_or_order_below_one():
+    # the closed forms read no series, so nothing else checked n and order
+    for model in ALL_MODELS:
+        for n, order in ((0, 8), (-2, 8), (1, 0), (1, -5)):
+            with pytest.raises(DomainError, match="must be >= 1"):
+                analytic_evaluators(model, n, order)
+            with pytest.raises(DomainError, match="must be >= 1"):
+                dominant_singularity(model, n, order=order)
 
 
 def test_singularity_report_is_frozen():

@@ -18,6 +18,13 @@ def test_parse_format_roundtrip():
     assert format_tree(t) == text
 
 
+@pytest.mark.parametrize("token", ["x1_0", "x+2", "x\u0663", "x-1"])
+def test_parse_rejects_malformed_leaves(token):
+    # int() would read x1_0 as x10, x+2 as x2 and an Arabic-Indic three as x3
+    with pytest.raises(StructureError, match="bad leaf token"):
+        parse_tree("(and %s x1)" % token, ModelId.ASSOC)
+
+
 def test_compute_function_worked_example():
     t = parse_tree("(or x1 (and x2 x3))", ModelId.CATALAN)
     assert compute_function(t).to_string() == "n:3:ea"
