@@ -36,16 +36,17 @@ class MinimalTreeSet:
         return len(self.trees)
 
 
-def complexity(f: BoolFunc, model: ModelId, budget: int = SEARCH_BUDGET) -> MinimalTreeSet:
+def complexity(f: BoolFunc, model: ModelId) -> MinimalTreeSet:
     """Search sizes 1, 2, ... until some tree computes f; return them all."""
     if f.is_constant():
         return MinimalTreeSet(f, model, 0, [])
-    for m in range(1, budget + 1):
+    for m in range(1, SEARCH_BUDGET + 1):
         found = [t for t in generate_trees(model, m, f.n)
                  if compute_function(t, f.n) == f]
         if found:
             return MinimalTreeSet(f, model, m, found)
-    raise ResourceCapError("no tree of size <= %d computes %s" % (budget, f))
+    raise ResourceCapError("no tree of size <= %d computes %s"
+                           % (SEARCH_BUDGET, f))
 
 
 def complexity_model_independence(f: BoolFunc) -> bool:
@@ -271,10 +272,10 @@ def probability_vs_bounds(
     bounds = _published(model, ts.L, ts.M)[0]
     rows = []
     for n in n_grid:
-        rho = float(singular.dominant_singularity(model, n).rho)
-        w1, w2 = singular.w_rates(model, n)
-        est = rho ** ts.L * (tally.lambda_T * float(w1)
-                             + tally.lambda_X * float(w2)) * n ** (ts.L + 1)
+        sing = singular.dominant_singularity(model, n)
+        rho, w1, w2 = float(sing.rho), float(sing.w1), float(sing.w2)
+        est = rho ** ts.L * (tally.lambda_T * w1
+                             + tally.lambda_X * w2) * n ** (ts.L + 1)
         rows.append({"n": n, "rho": rho, "estimate": est})
     if len(set(n_grid)) >= 2:
         limit = float(singular.fit_limit([r["n"] for r in rows],

@@ -168,15 +168,14 @@ def _generate(model: ModelId, m: int, leaves: Sequence, node: Node) -> Iterator:
         listed.cache_clear()
 
 
-def generate_trees(model: ModelId, m: int, n: int,
-                   cap: int = GENERATION_CAP) -> Iterator[Tree]:
+def generate_trees(model: ModelId, m: int, n: int) -> Iterator[Tree]:
     """Stream every canonical tree exactly once, deterministic order."""
     # the trees streamed plus the smaller subtrees listed to build them
     total = count_trees(model, m, n) + sum(count_trees(model, s, n)
                                            for s in range(2, m))
-    if total > cap:
-        raise ResourceCapError(
-            "generation of %d trees exceeds cap %d" % (total, cap))
+    if total > GENERATION_CAP:
+        raise ResourceCapError("generation of %d trees exceeds cap %d"
+                               % (total, GENERATION_CAP))
     leaves = [Tree.leaf(lit, model) for lit in _literals(n)]
     return _generate(model, m, leaves,
                      lambda conn, kids: Tree.internal(conn, kids, model))
@@ -447,15 +446,10 @@ def classifier_counts(model: ModelId, kind: str, m: int, n: int) -> int:
 def classifier_counts_by_generation(model: ModelId, kind: str, m: int,
                                     n: int) -> int:
     """Literal generate-and-classify version of classifier_counts."""
+    if kind not in ("g_x", "st_x"):
+        raise DomainError("unknown classifier kind %r" % kind)
     lit = Literal(1, True)
-    total = 0
-    for t in generate_trees(model, m, n):
-        if kind == "st_x":
-            if 1 in is_simple_tautology(t):
-                total += 1
-        elif kind == "g_x":
-            if lit in or_path_literals(t):
-                total += 1
-        else:
-            raise DomainError("unknown classifier kind %r" % kind)
-    return total
+    if kind == "st_x":
+        return sum(1 in is_simple_tautology(t)
+                   for t in generate_trees(model, m, n))
+    return sum(lit in or_path_literals(t) for t in generate_trees(model, m, n))

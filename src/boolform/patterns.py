@@ -250,22 +250,11 @@ def labelling_count(l: int, k: int, m: int, n: int, v: int,
     prescribed variables appearing there.  The plane count labels all m
     leaves; the mobile variant labels the pattern leaves only.
     """
-    if not (0 <= v <= n and 0 <= l <= m):
-        raise DomainError("need 0 <= v <= n and 0 <= l <= m")
-    total = 0
-    for r in range(0, k + 1):
-        d = l - r  # distinct pattern variables
-        j = k - r  # of which prescribed
-        if d < 0 or j > d:
-            continue
-        ways = (stirling2(l, d) * comb(v, j) * _falling(d, j)
-                * _falling(n - v, d - j))
-        if plane:
-            ways *= n ** (m - l) * 2 ** m
-        else:
-            ways *= 2 ** l
-        total += ways
-    return total
+    if not (0 <= v <= n and 0 <= l <= m and k >= 0):
+        raise DomainError("need 0 <= v <= n, 0 <= l <= m and k >= 0")
+    # l - k of the distinct pattern variables are unprescribed, for every r
+    ways = labelling_weight(v, k, l) * _falling(n - v, l - k)
+    return ways * (n ** (m - l) * 2 ** m if plane else 2 ** l)
 
 
 # ---------------------------------------------------------------------------

@@ -344,42 +344,48 @@ def _cross(model: ModelId, gt: PowerSeries) -> PowerSeries:
     return sq.scale(2) if model.plane else sq
 
 
+def _simple_x_factor(model: ModelId) -> int:
+    # root arrangements of a simple-x shape: a literal and a subtree under
+    # either connective, and in plane models with the literal on either side
+    return 4 if model.plane else 2
+
+
+@lru_cache(maxsize=None)
 def _aux_series(model: ModelId, n: int, order: int) -> dict:
-    """g_x, gbar_x, st_x, stbar_x and (binary) h_x, solved afresh."""
+    """Every aux kind defined for the model, from one solve per (n, order)."""
     full = solve_model_series(model, n, order)
+    z = PowerSeries.monomial(1, 1, order)
     if model.stratified:
         # or-root children counted by hat: hat - z leaves out the leaf x,
         # hat - 2z both x and ~x
         hat = _solve_base(model, n, order)
-        z = PowerSeries.monomial(1, 1, order)
         many = _many(model, hat)
         many_x = _many(model, hat - z)
         many_xx = _many(model, hat - z.scale(2))
         g = _known(z + many - many_x)
         st = _known(many - many_x.scale(2) + many_xx)
-        return {"g_x": g, "gbar_x": _known(full - g), "st_x": st,
-                "stbar_x": _known(full - st)}
-    # binary: an and-root takes any pair, an or-root a pair of trees that
-    # (gbar) have no or-path to x or (stbar) are no simple tautology on
-    # the variable of x, without the pairs of x-only and ~x-only or-paths
-    pairs_full = _pairs(model, full)
+        gbar, stbar = _known(full - g), _known(full - st)
+    else:
+        # binary: an and-root takes any pair, an or-root a pair of trees that
+        # (gbar) have no or-path to x or (stbar) are no simple tautology on
+        # the variable of x, without the pairs of x-only and ~x-only or-paths
+        pairs_full = _pairs(model, full)
 
-    def rhs(s: PowerSeries, leaves: int, gbar=None) -> PowerSeries:
-        out = (PowerSeries.monomial(leaves, 1, s.order) + pairs_full
-               + _pairs(model, s))
-        return out if gbar is None else out - _cross(model, s - gbar)
+        def rhs(s: PowerSeries, leaves: int, gbar=None) -> PowerSeries:
+            out = (PowerSeries.monomial(leaves, 1, s.order) + pairs_full
+                   + _pairs(model, s))
+            return out if gbar is None else out - _cross(model, s - gbar)
 
-    gbar = solve_equation(lambda s: rhs(s, 2 * n - 1), order)
-    stbar = solve_equation(lambda s: rhs(s, 2 * n, gbar), order)
-    return {"g_x": _known(full - gbar), "gbar_x": gbar,
-            "st_x": _known(full - stbar), "stbar_x": stbar,
-            "h_x": _known(_cross(model, stbar - gbar))}
-
-
-def _simple_x_factor(model: ModelId) -> int:
-    # root arrangements of a simple-x shape: a literal and a subtree under
-    # either connective, and in plane models with the literal on either side
-    return 4 if model.plane else 2
+        gbar = solve_equation(lambda s: rhs(s, 2 * n - 1), order)
+        stbar = solve_equation(lambda s: rhs(s, 2 * n, gbar), order)
+        g, st = _known(full - gbar), _known(full - stbar)
+    c = _simple_x_factor(model)
+    table = {"g_x": g, "gbar_x": gbar, "st_x": st, "stbar_x": stbar,
+             "simple_x_T": _known(z.scale(c * n) * st),
+             "simple_x_X": _known(z.scale(c) * g)}
+    if model is ModelId.CATALAN:
+        table["h_x"] = _known(_cross(model, stbar - gbar))
+    return table
 
 
 def solve_aux_series(model: ModelId, kind: str, n: int,
@@ -398,20 +404,7 @@ def solve_aux_series(model: ModelId, kind: str, n: int,
         raise DomainError("unknown aux kind %r" % kind)
     if kind == "h_x" and model is not ModelId.CATALAN:
         raise DomainError("h_x only defined for the binary plane model")
-    if kind in ("simple_x_T", "simple_x_X"):
-        c = _simple_x_factor(model)
-        z = PowerSeries.monomial(1, 1, order)
-        if kind == "simple_x_T":
-            return _known(z.scale(c * n)
-                          * solve_aux_series(model, "st_x", n, order))
-        return _known(z.scale(c) * solve_aux_series(model, "g_x", n, order))
-    return _solve_aux_cached(model, n, order)[kind]
-
-
-@lru_cache(maxsize=None)
-def _solve_aux_cached(model: ModelId, n: int, order: int) -> dict:
-    # every kind comes from one solve, so gbar is solved once for all
-    return _aux_series(model, n, order)
+    return _aux_series(model, n, order)[kind]
 
 
 # ---------------------------------------------------------------------------

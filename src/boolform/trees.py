@@ -202,8 +202,9 @@ def _parse_atom(token: str) -> Literal:
     neg = token.startswith("~")
     body = token[1:] if neg else token
     digits = body[1:]
-    # int() would also take "1_0", "+2" and non-ASCII digits
-    if not (body.startswith("x") and digits.isascii() and digits.isdigit()):
+    # int() would also take "1_0", "+2", "01" and non-ASCII digits
+    if not (body.startswith("x") and digits.isascii() and digits.isdigit()
+            and digits[0] != "0"):
         raise StructureError("bad leaf token %r" % token)
     return Literal(int(digits), not neg)
 

@@ -64,7 +64,7 @@ def test_comm_series_without_squares_are_catalan_series(monkeypatch, n):
                         lambda self, k: PowerSeries.zero(self.order))
     monkeypatch.setattr(series, "_solve_base", series._solve_base.__wrapped__)
     reduced = {"C": series.solve_model_series(ModelId.COMM, n, order)}
-    aux = series._aux_series(ModelId.COMM, n, order)
+    aux = series._aux_series.__wrapped__(ModelId.COMM, n, order)
     for kind in ("g_x", "gbar_x", "st_x", "stbar_x"):
         reduced[kind] = aux[kind]
     monkeypatch.undo()

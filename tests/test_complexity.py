@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 
 import pytest
 
@@ -51,9 +52,12 @@ def test_model_independence_all_sixteen():
                for t in range(16))
 
 
-def test_search_budget_raises():
+def test_search_budget_raises(monkeypatch):
+    # boolform.complexity is the function; the module is imported by name
+    monkeypatch.setattr(importlib.import_module("boolform.complexity"),
+                        "SEARCH_BUDGET", 3)
     with pytest.raises(ResourceCapError):
-        complexity(XOR, ModelId.CATALAN, budget=3)
+        complexity(XOR, ModelId.CATALAN)
 
 
 # sha256 of the repr of (lambda_T, lambda_X, per-tree (format_tree, t_count,

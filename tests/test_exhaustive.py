@@ -219,6 +219,8 @@ def test_oracles_share_no_functions():
     lambda: classifier_counts(ModelId.ASSOC_COMM, "st_x", 3, 0),
     lambda: classifier_counts_by_generation(ModelId.COMM, "st_x", 0, 1),
     lambda: classifier_counts_by_generation(ModelId.ASSOC, "g_x", 3, 0),
+    # the kind is checked before some 3.5e30 trees would be generated
+    lambda: classifier_counts_by_generation(ModelId.CATALAN, "bogus", 20, 3),
 ])
 def test_out_of_range_sizes_raise(call):
     with pytest.raises(DomainError):
@@ -294,21 +296,25 @@ def test_classifier_frozen_values():
     assert classifier_counts(ModelId.ASSOC_COMM, "g_x", 2, 2) == 4
 
 
-def test_generation_cap_enforced():
+def test_generation_cap_enforced(monkeypatch):
+    monkeypatch.setattr(exhaustive, "GENERATION_CAP", 1000)
     with pytest.raises(ResourceCapError):
-        list(generate_trees(ModelId.CATALAN, 12, 2, cap=1000))
+        list(generate_trees(ModelId.CATALAN, 12, 2))
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
-def test_generation_cap_counts_listed_subtrees(model):
+def test_generation_cap_counts_listed_subtrees(monkeypatch, model):
     # the subtrees listed below the root count against the cap too
     streamed = count_trees(model, 4, 2)
     listed = count_trees(model, 2, 2) + count_trees(model, 3, 2)
+    monkeypatch.setattr(exhaustive, "GENERATION_CAP", streamed)
     with pytest.raises(ResourceCapError):
-        generate_trees(model, 4, 2, cap=streamed)
+        generate_trees(model, 4, 2)
+    monkeypatch.setattr(exhaustive, "GENERATION_CAP", streamed + listed - 1)
     with pytest.raises(ResourceCapError):
-        generate_trees(model, 4, 2, cap=streamed + listed - 1)
-    assert sum(1 for _ in generate_trees(model, 4, 2, cap=streamed + listed)) == streamed
+        generate_trees(model, 4, 2)
+    monkeypatch.setattr(exhaustive, "GENERATION_CAP", streamed + listed)
+    assert sum(1 for _ in generate_trees(model, 4, 2)) == streamed
 
 
 def test_generated_trees_compute_consistent_functions():

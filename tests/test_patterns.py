@@ -192,6 +192,7 @@ def test_labelling_count_against_brute_force(l, m, n, v, plane):
 @pytest.mark.parametrize("l,k,m,n,v", [
     (1, 0, 1, 2, 3),  # v = 3 prescribed variables of n = 2 counted -2
     (3, 0, 2, 1, 0),  # l = 3 pattern leaves of m = 2 leaves gave 0.0
+    (2, -1, 3, 2, 1),  # k = -1 restrictions gave 0
 ])
 def test_labelling_count_rejects_out_of_range_arguments(l, k, m, n, v):
     with pytest.raises(DomainError):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from boolform import series
 from boolform.errors import DomainError
 from boolform.exhaustive import classifier_counts, count_trees
 from boolform.series import (AUX_KINDS, PowerSeries, log_one_minus_z,
@@ -105,6 +106,15 @@ def test_simple_x_kinds_exist():
         assert kind in AUX_KINDS
         s = solve_aux_series(ModelId.CATALAN, kind, 1, 6)
         assert all(c >= 0 for c in s.coeffs)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_aux_kinds_are_read_from_one_cached_table(model):
+    # the simple-x kinds are built with the solve, not afresh per call
+    first = solve_aux_series(model, "simple_x_T", 2, 8)
+    assert solve_aux_series(model, "simple_x_T", 2, 8) is first
+    assert ("h_x" in series._aux_series(model, 1, 8)) \
+        == (model is ModelId.CATALAN)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)

@@ -18,9 +18,11 @@ def test_parse_format_roundtrip():
     assert format_tree(t) == text
 
 
-@pytest.mark.parametrize("token", ["x1_0", "x+2", "x\u0663", "x-1"])
+@pytest.mark.parametrize("token", ["x1_0", "x+2", "x\u0663", "x-1",
+                                   "x01", "x0", "~x00"])
 def test_parse_rejects_malformed_leaves(token):
-    # int() would read x1_0 as x10, x+2 as x2 and an Arabic-Indic three as x3
+    # int() would read x1_0 as x10, x+2 as x2, an Arabic-Indic three as x3
+    # and x01 as x1
     with pytest.raises(StructureError, match="bad leaf token"):
         parse_tree("(and %s x1)" % token, ModelId.ASSOC)
 
