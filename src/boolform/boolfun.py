@@ -9,6 +9,7 @@ and x1 alternates fastest.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -91,17 +92,12 @@ class BoolFunc:
 
     def essential_vars(self) -> set[int]:
         """Variables whose flip changes the function somewhere."""
-        result: set[int] = set()
-        size = 1 << self.n
-        for i in range(1, self.n + 1):
-            bit = 1 << (i - 1)
-            for idx in range(size):
-                if idx & bit:
-                    continue
-                if ((self.table >> idx) & 1) != ((self.table >> (idx | bit)) & 1):
-                    result.add(i)
-                    break
-        return result
+        # table >> 2^(i-1) puts the value at idx | bit i on idx; ~x_i's
+        # table keeps the idx that have bit i clear
+        t = self.table
+        return {i for i in range(1, self.n + 1)
+                if (t ^ t >> (1 << (i - 1)))
+                & BoolFunc.from_literal(Literal(i, False), self.n).table}
 
     def is_constant(self) -> bool:
         return self.table in (0, (1 << (1 << self.n)) - 1)
@@ -125,15 +121,12 @@ class BoolFunc:
 
     @staticmethod
     def from_string(text: str) -> "BoolFunc":
-        parts = text.strip().split(":")
-        if len(parts) != 3 or parts[0] != "n":
-            raise InputError("expected 'n:<count>:<hex>'")
-        try:
-            n = int(parts[1])
-            table = int(parts[2], 16)
-        except ValueError as exc:
-            raise InputError("bad serialization: %r" % text) from exc
-        return BoolFunc(n, table)
+        # ASCII digits only: int() would also take "0x6", "e_a", "+3", " ea",
+        # "03" and non-ASCII digits
+        match = re.fullmatch(r"n:([1-9][0-9]*):([0-9a-fA-F]+)", text.strip())
+        if match is None:
+            raise InputError("expected 'n:<count>:<hex>', got %r" % text)
+        return BoolFunc(int(match[1]), int(match[2], 16))
 
     def __str__(self) -> str:
         return self.to_string()

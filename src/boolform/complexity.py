@@ -58,23 +58,6 @@ def complexity_model_independence(f: BoolFunc) -> bool:
 # expansions
 
 
-def _witness(kind: str, conn: str, x: Optional[Literal], fresh: int,
-             model: ModelId) -> Tree:
-    """Smallest legal insert: a two-leaf tree rooted by opposite(conn).
-
-    T under conn=AND wants a simple tautology y|~y; under OR a simple
-    contradiction.  X under AND wants x|fresh, under OR x&fresh, where x
-    is the realizing literal.
-    """
-    root = opposite(conn)
-    y = Literal(fresh, True)
-    if kind == "T":
-        a, b = y, Literal(fresh, False)
-    else:
-        a, b = x, y
-    return Tree.internal(root, [Tree.leaf(a, model), Tree.leaf(b, model)], model)
-
-
 @dataclass
 class ExpansionTally:
     f: BoolFunc
@@ -85,33 +68,31 @@ class ExpansionTally:
 
 
 def _sites(t: Tree):
-    """(conn, build) per expansion site of t: build(w) is t with the witness w
-    placed as a child of a conn-node.
+    """(conn, ways, build) per class of expansion sites of t: build(w) is t
+    with the witness w placed as a child of a conn-node, and ways is the
+    number of sites in the class.
 
     Any node can be pushed down under a new conn-node beside the witness; in
     a stratified model conn must differ from the node's connective and its
     parent's.  In a stratified model an internal node can also take the
-    witness as one more child, at every gap (plane) or in one slot.
+    witness as one more child.  And and Or commute, so the two sides of a
+    plane push-down, and the len(kids) + 1 gaps of a plane insertion, form
+    one class.
     """
     model = t.model
-    sides = (0, 1) if model.plane else (0,)
 
     def walk(node: Tree, parent_conn: Optional[str], rebuild):
         # rebuild(sub) is t with this node replaced by sub
         for conn in (AND, OR):
             if model.binary or conn not in (node.conn, parent_conn):
-                for side in sides:
-                    def build(w, conn=conn, side=side):
-                        kids = [node, w] if side == 0 else [w, node]
-                        return rebuild(Tree.internal(conn, kids, model))
-                    yield conn, build
+                def build(w, conn=conn):
+                    return rebuild(Tree.internal(conn, [node, w], model))
+                yield conn, 2 if model.plane else 1, build
         kids = node.children
         if kids and not model.binary:
-            for pos in range(len(kids) + 1) if model.plane else (0,):
-                def build(w, pos=pos):
-                    return rebuild(Tree.internal(
-                        node.conn, kids[:pos] + (w,) + kids[pos:], model))
-                yield node.conn, build
+            def build(w):
+                return rebuild(Tree.internal(node.conn, kids + (w,), model))
+            yield node.conn, len(kids) + 1 if model.plane else 1, build
         for i, child in enumerate(kids):
             def rebuild_child(sub, i=i):
                 return rebuild(Tree.internal(
@@ -124,21 +105,28 @@ def _sites(t: Tree):
 def enumerate_expansions(ts: MinimalTreeSet) -> ExpansionTally:
     """Tally valid T- and X-expansion sites over all minimal trees.
 
-    Every candidate site is validated by actually building the expanded
-    tree with a two-leaf witness on a fresh variable and re-checking the
-    computed function; per-site validity is uniform over same-kind
-    expansions, so one witness decides the site.
+    Every class of candidate sites is validated by actually building the
+    expanded tree with a two-leaf witness on a fresh variable and
+    re-checking the computed function.  Validity is uniform over same-kind
+    witnesses and over the sites of a class, so one build decides each.
     """
     f = ts.f
     if f.is_constant():
         raise DomainError("expansions are defined for non-constant functions")
     model, n = ts.model, f.n
-    fresh = n + 1
     lifted = f.lift(n + 1)
+    y = Literal(n + 1)
     # X-realizations range over literals of essential variables; validity
     # depends on the polarity, so both are tried per site
     essential = [Literal(v, pol) for v in sorted(f.essential_vars())
                  for pol in (True, False)]
+    # the smallest legal inserts, two leaves under the other connective:
+    # y | ~y and x | y below an and-node, y & ~y and x & y below an or-node
+    def pair(conn: str, a: Literal, b: Literal) -> Tree:
+        return Tree.internal(opposite(conn), [Tree.leaf(a, model),
+                                              Tree.leaf(b, model)], model)
+    witnesses = {c: (pair(c, y, y.negate()), [pair(c, x, y) for x in essential])
+                 for c in (AND, OR)}
     tally = ExpansionTally(f, model, 0, 0)
 
     def valid(expanded: Tree) -> bool:
@@ -146,10 +134,10 @@ def enumerate_expansions(ts: MinimalTreeSet) -> ExpansionTally:
 
     for t in ts.trees:
         t_count = x_count = 0
-        for conn, build in _sites(t):
-            t_count += valid(build(_witness("T", conn, None, fresh, model)))
-            x_count += sum(valid(build(_witness("X", conn, x, fresh, model)))
-                           for x in essential)
+        for conn, ways, build in _sites(t):
+            w_t, w_xs = witnesses[conn]
+            t_count += ways * valid(build(w_t))
+            x_count += ways * sum(valid(build(w)) for w in w_xs)
         tally.lambda_T += t_count
         tally.lambda_X += x_count
         tally.per_tree.append((t, t_count, x_count))

@@ -356,10 +356,10 @@ def _aux_series(model: ModelId, n: int, order: int) -> dict:
     full = solve_model_series(model, n, order)
     z = PowerSeries.monomial(1, 1, order)
     if model.stratified:
-        # or-root children counted by hat: hat - z leaves out the leaf x,
-        # hat - 2z both x and ~x
+        # or-root children counted by hat = 2nz + many(hat): hat - z leaves
+        # out the leaf x, hat - 2z both x and ~x
         hat = _solve_base(model, n, order)
-        many = _many(model, hat)
+        many = hat - z.scale(2 * n)
         many_x = _many(model, hat - z)
         many_xx = _many(model, hat - z.scale(2))
         g = _known(z + many - many_x)
@@ -369,7 +369,8 @@ def _aux_series(model: ModelId, n: int, order: int) -> dict:
         # binary: an and-root takes any pair, an or-root a pair of trees that
         # (gbar) have no or-path to x or (stbar) are no simple tautology on
         # the variable of x, without the pairs of x-only and ~x-only or-paths
-        pairs_full = _pairs(model, full)
+        # the base equation T = 2nz + 2 pairs(T) gives pairs(T)
+        pairs_full = (full - z.scale(2 * n)).scale(Fraction(1, 2))
 
         def rhs(s: PowerSeries, leaves: int, gbar=None) -> PowerSeries:
             out = (PowerSeries.monomial(leaves, 1, s.order) + pairs_full

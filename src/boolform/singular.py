@@ -555,7 +555,7 @@ def constant_estimate(model: ModelId, target: str,
                       n_grid=DEFAULT_N_GRID,
                       precision: int = DEFAULT_PRECISION,
                       order: int = DEFAULT_ORDER):
-    """Estimate the n->inf constant by fitting lambda + c/n over n_grid.
+    """Estimate the n->inf constant by fitting lambda + c/n over set(n_grid).
 
     target 'True': n^2-free probability of a tautology (scaled by n).
     target 'literal': probability of the fixed literal (scaled by n^2).
@@ -564,9 +564,9 @@ def constant_estimate(model: ModelId, target: str,
     """
     if target not in ("True", "literal"):
         raise DomainError("target must be 'True' or 'literal'")
-    if len(set(n_grid)) < 3:
+    grid = sorted(set(n_grid))
+    if len(grid) < 3:
         raise DomainError("n_grid needs at least 3 distinct values")
-    grid = sorted(n_grid)
     attr = "true_const" if target == "True" else "literal_const"
     with mp.workprec(precision):
         ys = [getattr(dominant_singularity(model, n, precision, order=order),

@@ -52,6 +52,8 @@ def test_constant_and_essential():
     f = BoolFunc.from_literal(Literal(2, False), 3)
     assert f.essential_vars() == {2}
     assert not f.is_constant()
+    # a bit-by-bit scan of the 2^20 entries per variable takes minutes
+    assert BoolFunc.from_literal(Literal(20, False), 20).essential_vars() == {20}
 
 
 def test_negate_involution():
@@ -84,6 +86,14 @@ def test_invalid_inputs_rejected():
         BoolFunc(2, 1 << 16)
     with pytest.raises(InputError):
         BoolFunc.from_string("2:aa")
+    # int() reads all but the last: a prefix, an underscore, signs, a space,
+    # a non-ASCII digit, a leading zero in the count; then an empty table
+    for text in ("n:3:0xea", "n:3:e_a", "n:+3:ea", "n:3:+ea", "n:3: ea",
+                 "n:\u0663:ea", "n:3:-0", "n:03:ea", "n:3:"):
+        with pytest.raises(InputError, match="expected 'n:<count>:<hex>'"):
+            BoolFunc.from_string(text)
+    # upper case and zero padding stay accepted
+    assert BoolFunc.from_string("n:3:00EA") == BoolFunc(3, 0xEA)
     with pytest.raises(InputError):
         Literal(0, True)
 

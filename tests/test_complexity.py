@@ -2,14 +2,17 @@ import hashlib
 import importlib
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from boolform.boolfun import BoolFunc, Literal
-from boolform.complexity import (complexity, complexity_model_independence,
+from boolform.complexity import (MinimalTreeSet, _sites, complexity,
+                                 complexity_model_independence,
                                  enumerate_expansions, lambda_bounds,
                                  lambda_t_reference, lambda_x_bounds,
                                  probability_vs_bounds)
 from boolform.errors import DomainError, ResourceCapError
-from boolform.trees import ModelId, compute_function, format_tree
+from boolform.trees import (AND, OR, ModelId, Tree, compute_function,
+                            format_tree, opposite, parse_tree)
 
 ALL_MODELS = list(ModelId)
 X1 = BoolFunc.from_literal(Literal(1, True), 2)
@@ -86,6 +89,83 @@ def test_expansion_tallies_for_literal():
             rows.append((tally.lambda_T, tally.lambda_X,
                          [(format_tree(t), tc, xc) for t, tc, xc in tally.per_tree]))
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, model
+
+
+def _every_site(node, parent_conn=None, rebuild=lambda sub: sub):
+    """(conn, build) for every expansion site: each side of a push-down and
+    each gap of an insertion on its own."""
+    model, kids = node.model, node.children
+    for conn in (AND, OR):
+        if model.binary or conn not in (node.conn, parent_conn):
+            yield conn, lambda w, conn=conn: rebuild(
+                Tree.internal(conn, [node, w], model))
+            if model.plane:
+                yield conn, lambda w, conn=conn: rebuild(
+                    Tree.internal(conn, [w, node], model))
+    if kids and not model.binary:
+        for pos in range(len(kids) + 1) if model.plane else (0,):
+            yield node.conn, lambda w, pos=pos: rebuild(Tree.internal(
+                node.conn, kids[:pos] + (w,) + kids[pos:], model))
+    for i, child in enumerate(kids):
+        yield from _every_site(child, node.conn, lambda sub, i=i: rebuild(
+            Tree.internal(node.conn, kids[:i] + (sub,) + kids[i + 1:], model)))
+
+
+def _site_by_site_counts(t, f):
+    """(t_count, x_count) of t, building both witness kinds at every site."""
+    model, n = t.model, f.n
+    lifted, y = f.lift(n + 1), Literal(n + 1)
+    essential = [Literal(v, pol) for v in sorted(f.essential_vars())
+                 for pol in (True, False)]
+    t_count = x_count = 0
+    for conn, build in _every_site(t):
+        def valid(a, b):
+            w = Tree.internal(opposite(conn), [Tree.leaf(a, model),
+                                               Tree.leaf(b, model)], model)
+            return compute_function(build(w), n + 1) == lifted
+        t_count += valid(y, y.negate())
+        x_count += sum(valid(x, y) for x in essential)
+    return t_count, x_count
+
+
+@st.composite
+def trees_and_n(draw):
+    """A random tree of any model, at most depth 3, on n <= 3 variables."""
+    model = draw(st.sampled_from(ALL_MODELS))
+    n = draw(st.integers(1, 3))
+
+    def build(conns, depth):
+        if depth == 0 or draw(st.integers(0, 3)) == 0:
+            return Tree.leaf(Literal(draw(st.integers(1, n)),
+                                     draw(st.booleans())), model)
+        conn = draw(st.sampled_from(conns))
+        arity = 2 if model.binary else draw(st.integers(2, 3))
+        kid_conns = (AND, OR) if model.binary else (opposite(conn),)
+        return Tree.internal(conn, [build(kid_conns, depth - 1)
+                                    for _ in range(arity)], model)
+
+    return build((AND, OR), 3), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees_and_n())
+def test_tally_per_class_matches_site_by_site(tree_n):
+    # the tally is defined per tree, minimal or not, so any tree will do
+    t, n = tree_n
+    f = compute_function(t, n)
+    assume(not f.is_constant())
+    tally = enumerate_expansions(MinimalTreeSet(f, t.model, 0, [t]))
+    assert tally.per_tree == [(t, *_site_by_site_counts(t, f))]
+
+
+def test_catalan_sites_are_one_class_per_node_and_connective():
+    for text in ("x1", "(and x1 ~x2)", "(or (and x1 x2) (and ~x1 ~x2))",
+                 "(and (or x1 (and x2 x3)) (or ~x1 x3))"):
+        t = parse_tree(text, ModelId.CATALAN)
+        leaves = sum(1 for _ in t.leaves())
+        sites = list(_sites(t))
+        assert len(sites) == 2 * (2 * leaves - 1)
+        assert sum(ways for _, ways, _ in sites) == 4 * (2 * leaves - 1)
 
 
 def test_lambda_t_matches_closed_form():

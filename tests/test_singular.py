@@ -195,6 +195,10 @@ def test_constant_estimate_catalan():
     est, err = constant_estimate(ModelId.CATALAN, "True", (50, 100, 200))
     assert abs(est - 0.75) < 0.005
     assert err < 0.01
+    # a repeated point is fitted once; counted twice, it shrinks the error
+    # bar (2.6e-6 instead of 6.9e-5) below the true error of 1.2e-4
+    assert (constant_estimate(ModelId.CATALAN, "True", (100, 100, 200, 400))
+            == constant_estimate(ModelId.CATALAN, "True", (100, 200, 400)))
 
 
 def test_reference_constants_table_is_complete():
