@@ -259,13 +259,13 @@ def probability_vs_bounds(
     tally = enumerate_expansions(ts)
     bounds = _published(model, ts.L, ts.M)[0]
     rows = []
-    for n in n_grid:
+    for n in dict.fromkeys(n_grid):  # each distinct n once, in order
         sing = singular.dominant_singularity(model, n)
         rho, w1, w2 = float(sing.rho), float(sing.w1), float(sing.w2)
         est = rho ** ts.L * (tally.lambda_T * w1
                              + tally.lambda_X * w2) * n ** (ts.L + 1)
         rows.append({"n": n, "rho": rho, "estimate": est})
-    if len(set(n_grid)) >= 2:
+    if len(rows) >= 2:
         limit = float(singular.fit_limit([r["n"] for r in rows],
                                          [r["estimate"] for r in rows]))
     else:

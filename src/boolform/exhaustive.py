@@ -43,7 +43,7 @@ GENERATION_CAP = 50_000_000
 
 def _multiset_ge2(counts: list[int], m: int) -> int:
     """Multisets of >= 2 trees with sizes summing to m, item supplies counts[s]."""
-    # f[j] = multisets (any number of parts >= 0) of total size j
+    # f[j] = multisets of trees of size < m, total size j (>= 2 parts if j = m)
     f = [0] * (m + 1)
     f[0] = 1
     for s in range(1, m):
@@ -59,8 +59,7 @@ def _multiset_ge2(counts: list[int], m: int) -> int:
                 g[j + s * k] += f[j] * comb(counts[s] + k - 1, k)
                 k += 1
         f = g
-    single = counts[m] if m < len(counts) else 0
-    return f[m] - single - (1 if m == 0 else 0)
+    return f[m]
 
 
 def _counts(model: ModelId, m: int, n: int) -> list[int]:

@@ -18,8 +18,10 @@ one derivative-free regula falsi guess steers every branch-point bisection.
 Near the singularity the truncated series are useless (the tail decays
 like (1-eps)^order), so every evaluator here is in closed form: a radical
 for pairs and SEQ, the principal branch W_0 of Lambert W for MSET.
-Truncated series only enter through the z^2- and z^l-substituted terms,
-which sit deep inside the disk of convergence and converge geometrically.
+Truncated series only enter through the z^2-substituted terms and MSET's
+log Pi = sum over l >= 2 of hat(z^l)/l, one exact series of order 2 order and
+radius sqrt(rho); all sit deep inside their disks of convergence, and
+_SeriesEval's one tail check guards them.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from typing import Callable, Optional
 import mpmath as mp
 
 from .errors import DomainError, NumericError
-from .series import (DEFAULT_ORDER, PowerSeries, _check_size, _simple_x_factor,
-                     solve_aux_series, solve_half_series, solve_model_series)
+from .series import (DEFAULT_ORDER, PowerSeries, _check_size, _polya_tail,
+                     _simple_x_factor, solve_aux_series, solve_half_series,
+                     solve_model_series)
 from .trees import ModelId
 
 DEFAULT_PRECISION = 256
@@ -163,30 +166,11 @@ def _eval_binary(model: ModelId, n: int, order: int) -> _Grammar:
                     rates)
 
 
-_TAIL_TERMS_MAX = 6000
-
-
-def _tail_sum(z, fn):
-    """Sum over l >= 2 of fn(l), whose terms shrink like z^l."""
-    acc = mp.mpf(0)
-    l = 2
-    while True:
-        term = fn(l)
-        acc += term
-        if abs(z) ** l < mp.eps * mp.mpf(2) ** -16:
-            return acc
-        if l > _TAIL_TERMS_MAX:
-            raise NumericError("Polya tail sum did not converge",
-                               diagnostics={"z": float(z), "l": l,
-                                            "term": float(abs(term))})
-        l += 1
-
-
 def _eval_stratified(model: ModelId, n: int, order: int) -> _Grammar:
     """A node takes a sequence (plane) or multiset (non-plane) of >= 2
     children: many(u) = E(u) - 1 - u, with E(u) = 1/(1 - u) for SEQ and
-    E(u) = e^u Pi(z) for MSET, log Pi(z) = sum over l >= 2 of hat(z^l)/l
-    (the truncated half series).
+    E(u) = e^u Pi(z) for MSET, log Pi(z) = sum over l >= 2 of hat(z^l)/l,
+    one exact series of order 2 order and radius sqrt(rho) (_SeriesEval).
 
     hat = 2nz + many(hat) solves E(hat) = 1 + 2 hat - 2nz on its lower
     branch and T = 2 hat - 2nz = E_0 - 1, in closed form: hat is a radical for
@@ -213,11 +197,10 @@ def _eval_stratified(model: ModelId, n: int, order: int) -> _Grammar:
 
         closed = ((3 - 2 * mp.sqrt(2)) / (2 * n_), mp.sqrt(2) - 1)
     else:
-        ev_hat = _SeriesEval(solve_half_series(model, n, order))
-
-        def log_pi(z):
-            # the Polya tail: sum over l >= 2 of hat(z^l)/l
-            return _tail_sum(z, lambda l: ev_hat(z ** l) / l)
+        # coefficient m of the Polya tail reads hat_(m/l) with l >= 2 only,
+        # so up to order 2 order it never reads a padded zero
+        hat = solve_half_series(model, n, order).coeffs
+        log_pi = _SeriesEval(_polya_tail(PowerSeries(hat + [0] * order)))
 
         def cond(z):
             # branch point of y = (e^y Pi - 1 + 2nz)/2: e^y Pi = 2 with y = 1/2 + nz

@@ -9,7 +9,8 @@ import pytest
 
 from boolform import singular
 from boolform.errors import DomainError, NumericError
-from boolform.series import solve_aux_series, solve_model_series
+from boolform.series import (solve_aux_series, solve_half_series,
+                             solve_model_series)
 from boolform.singular import (REFERENCE_CONSTANTS, analytic_evaluators,
                                constant_estimate, dominant_singularity,
                                limiting_ratio, probability_literal,
@@ -516,11 +517,59 @@ def test_bisection_raises_on_a_wrong_guess():
                              guess=mp.mpf("0.7"))
 
 
-def test_tail_sum_raises_past_its_cap():
-    with mp.workprec(64):
-        with pytest.raises(NumericError) as info:
-            singular._tail_sum(mp.mpf(1), lambda l: mp.mpf(1) / l)
-    diag = info.value.diagnostics
-    assert diag["z"] == 1.0
-    assert diag["l"] == singular._TAIL_TERMS_MAX + 1
-    assert diag["term"] == pytest.approx(1.0 / diag["l"])
+def _polya_reference(hat, z):
+    # sum over l >= 2 of hat(z^l)/l, one Horner sum per l, until z^l is
+    # below eps 2^-16
+    acc, l = mp.mpf(0), 2
+    while True:
+        acc += _horner(hat, z ** l) / l
+        if abs(z) ** l < mp.eps * mp.mpf(2) ** -16:
+            return acc
+        l += 1
+
+
+@pytest.mark.parametrize("n", [2, 300])
+def test_assoccomm_condition_matches_a_polya_sum_term_by_term(n):
+    hat = solve_half_series(ModelId.ASSOC_COMM, n, 64)
+    with mp.workprec(256):
+        cond = singular._grammar(ModelId.ASSOC_COMM, n, 64).cond
+        rho = dominant_singularity(ModelId.ASSOC_COMM, n, 256, order=64).rho
+        for z in (rho / 2, rho * (1 - mp.mpf(2) ** -20), rho):
+            want = 2 - mp.exp(mp.mpf(1) / 2 + n * z + _polya_reference(hat, z))
+            assert abs(cond(z) - want) <= 8 * mp.eps, z
+
+
+# rho._mpf_ of assoccomm at order 64, per (n, precision in bits), recorded
+# once and frozen: the mantissa in hex and the exponent
+PINNED_ASSOCCOMM_RHO = {
+    (2, 60): ("5a450d1a38b3b6b", -62),
+    (10, 60): ("9b3c50a82681ab", -61),
+    (100, 60): ("7e5644b1e3f68cf", -68),
+    (250, 60): ("194bf0f4f6685e3", -67),
+    (400, 60): ("7e8514c23a99d31", -70),
+    (2, 256): ("5a450d1a38b3b6a7a22f65faefd0c0f4"
+               "79b51cdabb963d567b83e81692527841", -258),
+    (10, 256): ("4d9e28541340d57abd2778033742fa98"
+                "179a2c37a5055356ef3e5a3861fe8691", -260),
+    (100, 256): ("7e5644b1e3f68cf10735922b8bc63f07"
+                 "faacf3c8292f6010c430602bee2322e7", -264),
+    (250, 256): ("652fc3d3d9a178ac8dfb88ee22bd5f3a"
+                 "744e8e8537cd714260220dc92cf2182d", -265),
+    (400, 256): ("7e8514c23a99d30f5584c51bd74a6be2"
+                 "0663a5b5a9c837240f72d3befe5456f", -262),
+}
+
+
+@pytest.mark.parametrize("n,prec", sorted(PINNED_ASSOCCOMM_RHO))
+def test_assoccomm_rho_bits_pinned(n, prec):
+    rho = dominant_singularity(ModelId.ASSOC_COMM, n, prec, order=64).rho
+    sign, man, exp, _ = rho._mpf_
+    assert (sign, "%x" % man, exp) == (0, *PINNED_ASSOCCOMM_RHO[n, prec])
+
+
+def test_assoccomm_condition_raises_outside_the_disk_of_log_pi():
+    # log Pi has radius sqrt(rho), and 1/2 > sqrt(rho) = 0.297 at n = 2
+    cond = singular._grammar(ModelId.ASSOC_COMM, 2, 64).cond
+    with mp.workprec(256):
+        with pytest.raises(NumericError, match="tail not negligible"):
+            cond(mp.mpf(1) / 2)
