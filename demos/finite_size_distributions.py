@@ -1,9 +1,10 @@
 """How fast does the finite-size distribution settle toward its limit?
 
-Enumerates every And/Or tree of size m over n variables, tallies which
-Boolean function each one computes, and prints the probability of True
-and of the literal x1 as m grows.  The drift toward the asymptotic
-constants (scaled by n and n^2) is already visible at tiny sizes.
+Counts, for each Boolean function, the And/Or trees of size m over n
+variables that compute it (by the truth-table dynamic program, without
+building a tree), and prints the probability of True and of the literal
+x1 as m grows.  The drift toward the asymptotic constants (scaled by n
+and n^2) is already visible at tiny sizes.
 
 Run:  python3 demos/finite_size_distributions.py
 """

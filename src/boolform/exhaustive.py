@@ -5,7 +5,8 @@ three routes, so that each checks the others: tree counts by one recurrence
 (count_trees), one tree generator (generate_trees, guarded by a configurable
 cap) and one value DP (distribution and classifier_counts, no cap needed).
 Their cores call none of each other's functions; the entry points consult
-count_trees only for the cap, for range checks and to check the DP's total.
+count_trees only for the cap, for range checks and to size and check the
+DP's integers.
 The generator builds each subtree once per call and keeps the lists of the
 trees smaller than the ones it streams; its cap counts both.
 
@@ -14,11 +15,12 @@ code.  A connective node takes its children from one pool (any tree if
 binary; a leaf or a tree rooted by the other connective if stratified),
 exactly two (binary) or at least two (stratified), as a sequence (plane) or
 as a multiset (non-plane).  The counts run this grammar over sizes only.
-The DP runs over truth tables for distributions, and over classifier
-states for the counts of trees with an or-only path to a fixed literal and
-of simple tautologies realized by a fixed variable (see classifier_counts).
-It counts multisets with "choose with repetition" terms and folds each
-repeated child explicitly.
+The DP runs the same grammar entrywise on numpy vectors over values: truth
+tables for distributions, and classifier states for the counts of trees
+with an or-only path to a fixed literal and of simple tautologies realized
+by a fixed variable (see classifier_counts).  It builds the or-rooted trees
+in the subset-sum domain and gets the and-rooted ones by swapping every
+connective.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from itertools import islice
 from math import comb
 from operator import mul
 from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .boolfun import BoolFunc, Literal
 from .errors import DomainError, ResourceCapError
@@ -183,112 +187,73 @@ def generate_trees(model: ModelId, m: int, n: int) -> Iterator[Tree]:
 # ---------------------------------------------------------------------------
 # value DP
 #
-# A "value" is any hashable tag computed bottom-up: the truth table for
-# distributions, an or-path state for classifier counts.  For each size and
-# connective the DP folds the children's values as a sequence (plane: a first
-# child, then a tail) or as a multiset (non-plane: a knapsack over (size,
-# value) groups whose state carries over from one size to the next).
-# Combines must be associative and commutative.  They need not be
-# idempotent: the classifier's and-combine maps (1,0),(1,0) to (0,0).  So
-# each repeated child of a multiset is folded explicitly, and the Polya
-# exponential, whose z^l terms count l equal children as one, does not carry
-# over to value vectors.
-
-Value = object
-Combine = Callable[[Value, Value], Value]
-Vec = dict  # value -> count
+# A value is a bits-bit int: a truth table, or a classifier's or-path state.
+# An or-node's value is the bitwise or of its children's, so in the
+# subset-sum domain (entry v counts the trees whose value lies inside v) its
+# children combine entrywise as the sizes do in _counts; for multisets too,
+# as or is idempotent.  Swapping every connective maps the or-rooted trees
+# of a size one to one onto the and-rooted ones, so the caller supplies that
+# map on value vectors and the DP builds only or-nodes.
 
 
-def _fold_pairs(va: Vec, vb: Vec, f: Combine, out: Vec) -> None:
-    for g, cg in va.items():
-        for h, ch in vb.items():
-            key = f(g, h)
-            out[key] = out.get(key, 0) + cg * ch
-
-
-def _merged(va: Vec, vb: Vec) -> Vec:
-    out = dict(va)
-    for key, cnt in vb.items():
-        out[key] = out.get(key, 0) + cnt
-    return out
-
-
-def _leaf_vec(n: int, leaf_value: Callable[[Literal], Value]) -> Vec:
-    vec: Vec = {}
-    for lit in _literals(n):
-        key = leaf_value(lit)
-        vec[key] = vec.get(key, 0) + 1
+def _zeta(vec, inverse: bool = False):
+    """Subset sums of vec over the bits of its index (inverse: the Mobius
+    transform that undoes them), in place; vec must be C-contiguous."""
+    op = np.subtract if inverse else np.add
+    for k in range(vec.size.bit_length() - 1):
+        w = vec.reshape(1 << k, 2, -1)
+        op(w[:, 1], w[:, 0], out=w[:, 1])
     return vec
 
 
-def _add_multisets(sets: dict, size: int, kids: Vec, fold: Combine,
-                   binary: bool) -> None:
-    """Let the multisets of children take any number of the kids of one size.
-
-    sets[1][t] and sets[2][t] are the value vectors of the multisets of total
-    size t with one part and with two or more; a binary node takes two.
-    """
-    m = len(sets[1]) - 1
-    for key, cnt in kids.items():
-        # k copies of the group: value key folded k times (combines need not
-        # be idempotent), picked from cnt trees in C(cnt + k - 1, k) ways
-        copies, value, ways = [], key, cnt
-        for k in range(1, (2 if binary else m // size) + 1):
-            copies.append({value: ways})
-            value, ways = fold(value, key), ways * (cnt + k) // (k + 1)
-        # totals descend, so no multiset takes this group twice
-        for t in range(m - size, 0, -1):
-            for parts in (1,) if binary else (1, 2):
-                if not sets[parts][t]:
-                    continue
-                for k, copy in enumerate(copies, 1):
-                    if t + k * size > m or (binary and parts + k > 2):
-                        break
-                    _fold_pairs(copy, sets[parts][t], fold,
-                                sets[min(parts + k, 2)][t + k * size])
-        for k, copy in enumerate(copies, 1):
-            if k * size > m:
-                break
-            out = sets[min(k, 2)][k * size]
-            for value, ways in copy.items():
-                out[value] = out.get(value, 0) + ways
+def _dot(xs: Sequence, ys: Sequence):
+    """Sum of the products xs[i] ys[i], accumulated in place to save memory."""
+    out = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        out += x * y
+    return out
 
 
-def _value_dp(model: ModelId, m: int, n: int, leaf_value,
-              f_and: Combine, f_or: Combine) -> Vec:
-    """Value vector of the model's trees of size m."""
-    folds = {AND: f_and, OR: f_or}
-    trees: list[Vec] = [{}, _leaf_vec(n, leaf_value)]
-    rooted = {AND: [{}, {}], OR: [{}, {}]}
-    # per connective and size: the pool of children; plane models keep the
-    # tails that may follow a first child (one child if binary, one or more
-    # if stratified), non-plane models the multisets of children
-    pool = {AND: [{}], OR: [{}]}
-    tail = {AND: [{}], OR: [{}]}
-    sets = {conn: {1: [{} for _ in range(m + 1)], 2: [{} for _ in range(m + 1)]}
-            for conn in (AND, OR)}
-    for s in range(1, m + 1):
-        if s > 1:
-            for conn in (AND, OR):
-                if model.plane:
-                    out: Vec = {}
-                    for i in range(1, s):
-                        _fold_pairs(pool[conn][i], tail[conn][s - i],
-                                    folds[conn], out)
-                else:
-                    # complete: later sizes add only to larger totals
-                    out = sets[conn][2][s]
-                rooted[conn].append(out)
-            trees.append(_merged(rooted[AND][s], rooted[OR][s]))
-        for conn in (AND, OR):
-            kids = trees[s] if model.binary or s == 1 else rooted[opposite(conn)][s]
-            pool[conn].append(kids)
-            if model.plane:
-                tail[conn].append(kids if model.binary
-                                  else _merged(kids, rooted[conn][s]))
-            else:
-                _add_multisets(sets[conn], s, kids, folds[conn], model.binary)
-    return trees[m]
+def _value_dp(model: ModelId, m: int, leaves, swap: Callable):
+    """Value vector of the model's trees of size m.  leaves is the leaves'
+    vector (transformed in place); swap maps the or-rooted trees' vector of
+    a size to a new one for the and-rooted trees.  leaves' dtype must hold
+    2 m times the number of trees of size m, which bounds every entry."""
+    binary, plane = model.binary, model.plane
+    # transformed, per size: all trees, and the children of an or-node (any
+    # tree if binary; a leaf or an and-rooted tree if stratified)
+    trees = [1, _zeta(leaves)]
+    kids = trees if binary else trees[:]
+    c = [0] * (m + 1)
+    for s in range(2, m + 1):
+        if binary or plane:
+            # a first child, then one more (binary) or any tree (plane)
+            ors = _dot(kids[1:s], (kids if binary else trees)[s - 1:0:-1])
+            if not plane:
+                # unordered pairs: count the pairs of equal children twice
+                ors += kids[s // 2] if s % 2 == 0 else 0
+                ors //= 2
+        else:
+            # the multisets of >= 1 kids of size k are trees[k] (trees[0] is
+            # the empty one), and s M_s = sum_k c_k M_(s-k) with c[k] = sum
+            # over d | k of d kids[d]; c[s] lacks the lone kid of size s
+            for j in range(s - 1, m + 1, s - 1):
+                c[j] += (s - 1) * kids[s - 1]
+            ors = _dot(c[1:s + 1], trees[s - 1::-1])
+            ors //= s
+        ands = swap(_zeta(ors, inverse=True))
+        ors += ands
+        trees.append(_zeta(ors))
+        if not binary:
+            kids.append(_zeta(ands))
+        del ands  # not kept if binary, and the next products need the room
+    return _zeta(trees[m], inverse=True)
+
+
+def _int_type(bound: int):
+    """The narrowest numpy integer type that holds bound, else object."""
+    return next((t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if bound <= np.iinfo(t).max), object)
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +291,19 @@ def distribution(model: ModelId, m: int, n: int) -> Distribution:
     if n > 4:
         raise ResourceCapError("distribution DP supports n <= 4")
 
-    def leaf_value(lit: Literal) -> int:
-        return BoolFunc.from_literal(lit, n).table
-
-    vec = _value_dp(model, m, n, leaf_value,
-                    lambda g, h: g & h, lambda g, h: g | h)
-    counts = {BoolFunc(n, tab): cnt for tab, cnt in vec.items() if cnt}
+    bits = 1 << n  # a truth table has one bit per assignment
+    leaves = np.zeros(1 << bits, _int_type(2 * m * expected))
+    for lit in _literals(n):
+        leaves[BoolFunc.from_literal(lit, n).table] += 1
+    # f to its dual ~f(~x): complement the table, then bit-reverse it
+    vec = _value_dp(model, m, leaves,
+                    lambda v: v[::-1].reshape((2,) * bits).T.reshape(-1))
+    tables = np.flatnonzero(vec)
+    counts = {BoolFunc(n, tab): cnt
+              for tab, cnt in zip(tables.tolist(), vec[tables].tolist())}
     total = sum(counts.values())
-    if total != expected:
+    # numpy wraps on overflow, so a negative count is an error too
+    if total != expected or min(counts.values()) < 0:
         raise AssertionError("distribution total %d != count %d" % (total, expected))
     return Distribution(model, m, n, counts, total)
 
@@ -420,26 +390,16 @@ def classifier_counts(model: ModelId, kind: str, m: int, n: int) -> int:
 
     kind 'g_x': an or-only path from the root to a leaf x1.
     kind 'st_x': simple tautology realized by variable 1.
-    The count runs the structural DP over classifier states (or-path-to-x1,
-    or-path-to-~x1); this encodes exactly the brute-force classifier
-    semantics without materializing trees.
+    The count runs the value DP over 2-bit states (bit 0: an or-path to x1,
+    bit 1: to ~x1; an and-rooted tree has neither), without building trees.
     """
     if kind not in ("g_x", "st_x"):
         raise DomainError("unknown classifier kind %r" % kind)
-    if m < 1 or n < 1:
-        raise DomainError("m and n must be >= 1")
-
-    def leaf_value(lit: Literal):
-        if lit.var == 1:
-            return (1, 0) if lit.positive else (0, 1)
-        return (0, 0)
-
-    vec = _value_dp(model, m, n, leaf_value,
-                    lambda g, h: (0, 0),
-                    lambda g, h: (g[0] | h[0], g[1] | h[1]))
-    if kind == "st_x":
-        return vec.get((1, 1), 0)
-    return sum(cnt for (a, _b), cnt in vec.items() if a == 1)
+    # count_trees also rejects m < 1 and n < 1
+    dtype = _int_type(2 * m * count_trees(model, m, n))
+    vec = _value_dp(model, m, np.array([2 * n - 2, 1, 1, 0], dtype),
+                    lambda v: np.array([v.sum(), 0, 0, 0], v.dtype))
+    return int(vec[3] if kind == "st_x" else vec[1] + vec[3])
 
 
 def classifier_counts_by_generation(model: ModelId, kind: str, m: int,

@@ -380,10 +380,10 @@ def _aux_series(model: ModelId, n: int, order: int) -> dict:
         gbar = solve_equation(lambda s: rhs(s, 2 * n - 1), order)
         stbar = solve_equation(lambda s: rhs(s, 2 * n, gbar), order)
         g, st = _known(full - gbar), _known(full - stbar)
+    # the simple-x kinds stay online: nothing in the package reads them
     c = _simple_x_factor(model)
     table = {"g_x": g, "gbar_x": gbar, "st_x": st, "stbar_x": stbar,
-             "simple_x_T": _known(z.scale(c * n) * st),
-             "simple_x_X": _known(z.scale(c) * g)}
+             "simple_x_T": z.scale(c * n) * st, "simple_x_X": z.scale(c) * g}
     if model is ModelId.CATALAN:
         table["h_x"] = _known(_cross(model, stbar - gbar))
     return table

@@ -2,6 +2,7 @@ import hashlib
 import types
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -78,25 +79,35 @@ FROZEN_GENERATION_DIGESTS = {
         (7, 1): "bc4e4b88fb2131792711108d6bd5ad29a9284d4cf7a7b0445f4978ba47b12e13"},
 }
 
+# the first size at which 2 m count_trees(model, m, 3), the bound on the
+# DP's integers, passes int64, so that the DP runs on Python ints
+WIDE_SIZES = {ModelId.CATALAN: 13, ModelId.ASSOC: 13, ModelId.COMM: 15,
+              ModelId.ASSOC_COMM: 17}
+
 # sha256 of the value DP's output beyond the sizes generation can check,
 # recorded once and frozen: repr of the sorted (truth table, count) pairs of
-# distribution(model, 8, 3), and repr of the lists classifier_counts(model,
-# kind, m, n) for m = 1..12, one list per n in (1, 2, 3)
+# distribution(model, 8, 3) and of distribution(model, WIDE_SIZES[model], 3),
+# and repr of the lists classifier_counts(model, kind, m, n) for m = 1..12,
+# one list per n in (1, 2, 3)
 FROZEN_DP_DIGESTS = {
     ModelId.CATALAN: {
         "distribution": "6b3373751ca2eb22bebe46453ee81107184434514390d19b11e9635ca65217df",
+        "wide": "83f8806486a1fa299e51cf119348a806784432542c65df69bebb53cd0ad4503d",
         "g_x": "dd4b572a77dc1e5ccd9bffe196bb9ea5fd2a30c7a9ca7b8552ce8d2b619c75f1",
         "st_x": "4e8358536744087ab3110a07dc85826a683f8e9aced45746d471b4e6bf4c4774"},
     ModelId.ASSOC: {
         "distribution": "3716a540f884c3e262af8f1dcf5ac619793dd20d60105ac640e4247d4195dcbf",
+        "wide": "793310f1fd51a17b7caefce679610c19c6a0fb0ee4c7a3ec4d743b6e75f0c947",
         "g_x": "2904e173c565acec458b4a46081e26e66448e50b1f12f975704a2f3841de7914",
         "st_x": "04e7030998ff2d6ffa48df4d663a2ef441eb0f618fd929a6dca904a8bf620f5a"},
     ModelId.COMM: {
         "distribution": "27c559363e84789249f03ad776fff8e632af7c04c0c5d6f1de78f551a53ffa78",
+        "wide": "0f1804e846644723d310c5353cf5e45b49b9df8916e94f1d7fd8788105e4858a",
         "g_x": "818df3fe6121c9fa6f41fe5e12b721b32050a6b06c797eea853f61b1df859776",
         "st_x": "688cc915f9de751aab89be179118eb0a8f835ae88e406df4fff974e85af33f21"},
     ModelId.ASSOC_COMM: {
         "distribution": "0c9b5da28d91a3e184433c5fdef6b8ef9b14b219046274711be7c98df50d0bb1",
+        "wide": "8376e2fc221ef20f2a050651a97ac1be273ac07b9bb5395aecd7ef575c9be2cd",
         "g_x": "cbdb33df8ca33fd429ea83f3e24d6188fbd5cb5324f7ab6b5031d298d1b2f2eb",
         "st_x": "06aa0424a7e66fd9421d74e9444190d7f465304318f0abc4952d8b4c14e9a3a2"},
 }
@@ -166,9 +177,14 @@ def test_distribution_agrees_with_generation_on_random_sizes(model, m, n):
 
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_dp_beyond_generation_pinned(model):
-    d = distribution(model, 8, 3)
-    entries = sorted((f.table, c) for f, c in d.counts.items())
-    digests = {"distribution": hashlib.sha256(repr(entries).encode()).hexdigest()}
+    wide = WIDE_SIZES[model]
+    assert (2 * (wide - 1) * count_trees(model, wide - 1, 3)
+            <= np.iinfo(np.int64).max < 2 * wide * count_trees(model, wide, 3))
+    digests = {}
+    for key, m in (("distribution", 8), ("wide", wide)):
+        counts = distribution(model, m, 3).counts
+        entries = sorted((f.table, c) for f, c in counts.items())
+        digests[key] = hashlib.sha256(repr(entries).encode()).hexdigest()
     for kind in ("g_x", "st_x"):
         counts = [[classifier_counts(model, kind, m, n) for m in range(1, 13)]
                   for n in (1, 2, 3)]
@@ -206,7 +222,7 @@ def test_oracles_share_no_functions():
     oracles = {"generator": _oracle_functions(["_generate"]),
                "value DP": _oracle_functions(["_value_dp"]),
                "counts": _oracle_functions(counts)}
-    assert counts and "_fold_pairs" in oracles["value DP"]
+    assert counts and "_zeta" in oracles["value DP"]
     for a, b in combinations(sorted(oracles), 2):
         assert not oracles[a] & oracles[b], (a, b, oracles[a] & oracles[b])
 
@@ -238,10 +254,12 @@ def test_distribution_frozen_values():
 
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_duality_of_distribution(model):
-    for m in range(1, 7):
-        d = distribution(model, m, 2)
-        for f, c in d.counts.items():
-            assert d.counts[f.negate()] == c
+    # n = 3 and 4 lie beyond generation's reach
+    for n, top in ((2, 6), (3, 8), (4, 6)):
+        for m in range(1, top + 1):
+            d = distribution(model, m, n)
+            for f, c in d.counts.items():
+                assert d.counts[f.negate()] == c
 
 
 def test_distribution_exports():
