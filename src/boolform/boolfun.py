@@ -47,6 +47,12 @@ def _assignment_index(assignment: Iterable[int]) -> tuple[int, int]:
     return idx, count
 
 
+def _check_n(n: int) -> None:
+    # before any 2^n-bit table is built: n = 40 would take 128 GiB
+    if not 1 <= n <= 24:
+        raise InputError("n must be in 1..24")
+
+
 @dataclass(frozen=True)
 class BoolFunc:
     """Truth table of a Boolean function on n >= 1 variables."""
@@ -55,8 +61,7 @@ class BoolFunc:
     table: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= 24:
-            raise InputError("n must be in 1..24")
+        _check_n(self.n)
         if not 0 <= self.table < (1 << (1 << self.n)):
             raise InputError("table does not fit in 2^n bits")
 
@@ -64,11 +69,13 @@ class BoolFunc:
 
     @staticmethod
     def constant(n: int, value: bool) -> "BoolFunc":
+        _check_n(n)
         size = 1 << n
         return BoolFunc(n, (1 << size) - 1 if value else 0)
 
     @staticmethod
     def from_literal(lit: Literal, n: int) -> "BoolFunc":
+        _check_n(n)
         if lit.var > n:
             raise InputError("literal variable exceeds n")
         # one period: 2^(v-1) bits off then on (x_v), or on then off (~x_v)
@@ -106,6 +113,7 @@ class BoolFunc:
         """The same function viewed on n >= self.n variables."""
         if n < self.n:
             raise InputError("cannot lift to fewer variables")
+        _check_n(n)
         table = self.table
         width = 1 << self.n
         for _ in range(n - self.n):

@@ -8,7 +8,8 @@ Their cores call none of each other's functions; the entry points consult
 count_trees only for the cap, for range checks and to size and check the
 DP's integers.
 The generator builds each subtree once per call and keeps the lists of the
-trees smaller than the ones it streams; its cap counts both.
+trees smaller than the ones it streams; its cap counts both.  Its leaves and
+node builder make Trees, or truth tables for distribution_by_generation.
 
 All three routes follow one grammar for all four models, each in its own
 code.  A connective node takes its children from one pool (any tree if
@@ -25,6 +26,7 @@ connective.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -36,7 +38,7 @@ import numpy as np
 
 from .boolfun import BoolFunc, Literal
 from .errors import DomainError, ResourceCapError
-from .trees import AND, OR, ModelId, Tree, compute_function, dual_tree, opposite
+from .trees import AND, OR, ModelId, Tree, _fold, compute_function, opposite
 
 GENERATION_CAP = 50_000_000
 
@@ -107,17 +109,14 @@ def count_trees(model: ModelId, m: int, n: int) -> int:
 
 
 def _literals(n: int) -> list[Literal]:
-    out = []
-    for v in range(1, n + 1):
-        out.append(Literal(v, True))
-        out.append(Literal(v, False))
-    return out
+    return [Literal(v, positive) for v in range(1, n + 1)
+            for positive in (True, False)]
 
 
 # The generator lists a multiset of children in non-decreasing (size, index)
 # order.  It takes the leaf alphabet and a builder node(conn, kids), so it
-# yields both labelled trees (generate_trees) and the unlabelled connective
-# shapes of patterns.verify_pattern_lemmas (one-symbol alphabet).
+# yields labelled trees, their truth tables (distribution_by_generation) and
+# the connective shapes of patterns.verify_pattern_lemmas (one-symbol alphabet).
 Node = Callable[[str, Sequence], object]
 
 
@@ -171,14 +170,18 @@ def _generate(model: ModelId, m: int, leaves: Sequence, node: Node) -> Iterator:
         listed.cache_clear()
 
 
-def generate_trees(model: ModelId, m: int, n: int) -> Iterator[Tree]:
-    """Stream every canonical tree exactly once, deterministic order."""
+def _check_cap(model: ModelId, m: int, n: int) -> None:
     # the trees streamed plus the smaller subtrees listed to build them
     total = count_trees(model, m, n) + sum(count_trees(model, s, n)
                                            for s in range(2, m))
     if total > GENERATION_CAP:
         raise ResourceCapError("generation of %d trees exceeds cap %d"
                                % (total, GENERATION_CAP))
+
+
+def generate_trees(model: ModelId, m: int, n: int) -> Iterator[Tree]:
+    """Stream every canonical tree exactly once, deterministic order."""
+    _check_cap(model, m, n)
     leaves = [Tree.leaf(lit, model) for lit in _literals(n)]
     return _generate(model, m, leaves,
                      lambda conn, kids: Tree.internal(conn, kids, model))
@@ -309,30 +312,31 @@ def distribution(model: ModelId, m: int, n: int) -> Distribution:
 
 
 def distribution_by_generation(model: ModelId, m: int, n: int) -> Distribution:
-    """Same result as distribution(), by materializing every tree (cross-check)."""
-    counts: dict = {}
-    total = 0
-    for t in generate_trees(model, m, n):
-        f = compute_function(t, n)
-        counts[f] = counts.get(f, 0) + 1
-        total += 1
-    return Distribution(model, m, n, counts, total)
+    """Same result as distribution(), by generating every tree (cross-check)
+    as its truth table: the literals' tables folded by compute_function's fold."""
+    _check_cap(model, m, n)
+    leaves = [BoolFunc.from_literal(lit, n).table for lit in _literals(n)]
+    tables = Counter(_generate(model, m, leaves, _fold))
+    counts = {BoolFunc(n, table): c for table, c in tables.items()}
+    return Distribution(model, m, n, counts, sum(counts.values()))
 
 
 # ---------------------------------------------------------------------------
 # classifiers
 
 
-def or_path_literals(t: Tree) -> set[Literal]:
-    """Literals joined to the root by an or-only path (a lone leaf counts)."""
+def _path_literals(t: Tree, conn: str) -> set[Literal]:
+    """Literals joined to the root by a conn-only path (a lone leaf counts)."""
     if t.is_leaf():
         return {t.literal}  # type: ignore[arg-type]
-    if t.conn == OR:
-        out: set[Literal] = set()
-        for c in t.children:
-            out |= or_path_literals(c)
-        return out
-    return set()
+    if t.conn != conn:
+        return set()
+    return set().union(*(_path_literals(c, conn) for c in t.children))
+
+
+def or_path_literals(t: Tree) -> set[Literal]:
+    """Literals joined to the root by an or-only path (a lone leaf counts)."""
+    return _path_literals(t, OR)
 
 
 def is_simple_tautology(t: Tree) -> set[int]:
@@ -342,7 +346,9 @@ def is_simple_tautology(t: Tree) -> set[int]:
 
 
 def _is_simple_contradiction(t: Tree) -> bool:
-    return bool(is_simple_tautology(dual_tree(t)))
+    # the dual's or-paths are t's and-paths, every literal negated
+    lits = _path_literals(t, AND)
+    return any(lit.negate() in lits for lit in lits)
 
 
 def is_simple_x(t: Tree):
@@ -374,15 +380,10 @@ def is_simple_x(t: Tree):
 def classify_tautologies(model: ModelId, m: int, n: int) -> tuple[int, int]:
     """(simple, non-simple) counts over all trees computing True."""
     true_f = BoolFunc.constant(n, True)
-    simple = 0
-    nonsimple = 0
-    for t in generate_trees(model, m, n):
-        if compute_function(t, n) == true_f:
-            if is_simple_tautology(t):
-                simple += 1
-            else:
-                nonsimple += 1
-    return simple, nonsimple
+    simple = Counter(bool(is_simple_tautology(t))
+                     for t in generate_trees(model, m, n)
+                     if compute_function(t, n) == true_f)
+    return simple[True], simple[False]
 
 
 def classifier_counts(model: ModelId, kind: str, m: int, n: int) -> int:

@@ -158,6 +158,11 @@ def _positive_tables(n: int) -> tuple[int, ...]:
     return tuple(BoolFunc.from_literal(Literal(v), n).table for v in range(1, n + 1))
 
 
+def _fold(conn: str, values) -> int:
+    """Truth table of a conn-node, from its children's truth tables."""
+    return reduce(and_ if conn == AND else or_, values)
+
+
 def compute_function(t: Tree, n: Optional[int] = None) -> BoolFunc:
     """Truth table of the function computed by t, on n variables."""
     if n is None:
@@ -174,7 +179,7 @@ def compute_function(t: Tree, n: Optional[int] = None) -> BoolFunc:
                 raise InputError("n smaller than largest variable in tree")
             table = tables[lit.var - 1]
             return table if lit.positive else table ^ full
-        return reduce(and_ if node.conn == AND else or_, map(rec, node.children))
+        return _fold(node.conn, map(rec, node.children))
 
     return BoolFunc(n, rec(t))
 

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
 from boolform.boolfun import BoolFunc, InputError, Literal
+from boolform.trees import ModelId, compute_function, parse_tree
 
 
 def test_literal_ordering_and_negate():
@@ -77,6 +80,26 @@ def test_lift_preserves_behavior():
     for idx in range(8):
         assignment = [(idx >> k) & 1 for k in range(3)]
         assert g.evaluate(assignment) == f.evaluate(assignment[:2])
+
+
+@pytest.mark.parametrize("n", [25, 40])
+@pytest.mark.parametrize("build", [
+    lambda n: BoolFunc.constant(n, True),
+    lambda n: BoolFunc.from_literal(Literal(1), n),
+    lambda n: BoolFunc(1, 1).lift(n),
+    lambda n: compute_function(parse_tree("x1", ModelId.CATALAN), n),
+    lambda n: compute_function(parse_tree("x%d" % n, ModelId.CATALAN)),
+])
+def test_n_checked_before_any_table_is_built(build, n):
+    # a table of 2^25 bits takes 4 MB, of 2^40 bits 128 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="n must be in 1..24"):
+            build(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_invalid_inputs_rejected():

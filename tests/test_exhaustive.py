@@ -1,5 +1,6 @@
 import hashlib
 import types
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -15,8 +16,8 @@ from boolform.exhaustive import (classifier_counts,
                                  distribution, distribution_by_generation,
                                  generate_trees, is_simple_tautology,
                                  is_simple_x, or_path_literals)
-from boolform.trees import (ModelId, Tree, compute_function, format_tree,
-                            parse_tree)
+from boolform.trees import (ModelId, Tree, compute_function, dual_tree,
+                            format_tree, parse_tree)
 
 ALL_MODELS = list(ModelId)
 
@@ -225,6 +226,9 @@ def test_oracles_share_no_functions():
     assert counts and "_zeta" in oracles["value DP"]
     for a, b in combinations(sorted(oracles), 2):
         assert not oracles[a] & oracles[b], (a, b, oracles[a] & oracles[b])
+    # the generation route checks the DP's distribution
+    route = _oracle_functions(["distribution_by_generation"])
+    assert "_generate" in route and not route & oracles["value DP"]
 
 
 @pytest.mark.parametrize("call", [
@@ -237,6 +241,8 @@ def test_oracles_share_no_functions():
     lambda: classifier_counts_by_generation(ModelId.ASSOC, "g_x", 3, 0),
     # the kind is checked before some 3.5e30 trees would be generated
     lambda: classifier_counts_by_generation(ModelId.CATALAN, "bogus", 20, 3),
+    lambda: distribution_by_generation(ModelId.ASSOC_COMM, 0, 2),
+    lambda: distribution_by_generation(ModelId.CATALAN, 3, 0),
 ])
 def test_out_of_range_sizes_raise(call):
     with pytest.raises(DomainError):
@@ -322,21 +328,50 @@ def test_generation_cap_enforced(monkeypatch):
 
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_generation_cap_counts_listed_subtrees(monkeypatch, model):
-    # the subtrees listed below the root count against the cap too
+    # the subtrees listed below the root count against the cap too, on both
+    # routes through the generator
     streamed = count_trees(model, 4, 2)
     listed = count_trees(model, 2, 2) + count_trees(model, 3, 2)
-    monkeypatch.setattr(exhaustive, "GENERATION_CAP", streamed)
-    with pytest.raises(ResourceCapError):
-        generate_trees(model, 4, 2)
-    monkeypatch.setattr(exhaustive, "GENERATION_CAP", streamed + listed - 1)
-    with pytest.raises(ResourceCapError):
-        generate_trees(model, 4, 2)
+    for route in (lambda: generate_trees(model, 4, 2),
+                  lambda: distribution_by_generation(model, 4, 2)):
+        monkeypatch.setattr(exhaustive, "GENERATION_CAP", streamed)
+        with pytest.raises(ResourceCapError):
+            route()
+        monkeypatch.setattr(exhaustive, "GENERATION_CAP", streamed + listed - 1)
+        with pytest.raises(ResourceCapError):
+            route()
     monkeypatch.setattr(exhaustive, "GENERATION_CAP", streamed + listed)
     assert sum(1 for _ in generate_trees(model, 4, 2)) == streamed
+    assert distribution_by_generation(model, 4, 2).total == streamed
 
 
-def test_generated_trees_compute_consistent_functions():
-    # spot check: the DP's function tally equals recomputation per tree
-    for t in generate_trees(ModelId.ASSOC, 4, 2):
-        f = compute_function(t, 2)
-        assert f.n == 2
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_streamed_tables_match_compute_function(model):
+    # the generation route folds truth tables as it builds each tree; here
+    # compute_function reads them off the generated Trees instead
+    for m, n in ((1, 2), (2, 2), (3, 2), (4, 2), (3, 3)):
+        assert (distribution_by_generation(model, m, n).counts
+                == Counter(compute_function(t, n)
+                           for t in generate_trees(model, m, n)))
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_distribution_by_generation_builds_no_tree(monkeypatch, model):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the generation route built a Tree")
+
+    monkeypatch.setattr(exhaustive, "compute_function", refuse)
+    monkeypatch.setattr(Tree, "internal", staticmethod(refuse))
+    monkeypatch.setattr(Tree, "__init__", refuse)
+    assert (distribution_by_generation(model, 4, 2).counts
+            == distribution(model, 4, 2).counts)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_simple_contradiction_matches_dual_tree(model):
+    # t is a simple contradiction iff its dual is a simple tautology
+    for m in range(1, 5):
+        for t in generate_trees(model, m, 2):
+            for _, sub in t.nodes():
+                assert (exhaustive._is_simple_contradiction(sub)
+                        == bool(is_simple_tautology(dual_tree(sub))))
