@@ -24,8 +24,8 @@ class Literal:
     positive: bool = True
 
     def __post_init__(self) -> None:
-        if self.var < 1:
-            raise InputError("variable index must be >= 1")
+        if type(self.var) is not int or self.var < 1:
+            raise InputError("variable index must be an int >= 1")
 
     def negate(self) -> "Literal":
         return Literal(self.var, not self.positive)

@@ -3,13 +3,18 @@
 `bench/spans.py` sums self time and counts calls by function name, and a
 name that is no longer a public function of its layer raises KeyError in
 a traced benchmark run.  The names are checked here without installing
-the tracer, which would rewrap the package for the whole session.
+the tracer, which would rewrap the package for the whole session.  So are
+the names of its observer hooks, `Tracer._observe_<name>`, and the result
+field that the `limiting_ratio` hook reads.
 """
 
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
+
+from boolform.series import PowerSeries
+from boolform.singular import limiting_ratio
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -47,3 +52,24 @@ def test_traced_names_are_public_functions_of_their_layer():
     missing += [(layer, name) for name, layer in READ_BY_METRICS.items()
                 if name not in public[layer]]
     assert not missing
+
+
+def test_observer_hooks_name_public_functions_of_a_traced_layer():
+    # Tracer wraps a public function with its `_observe_<name>` hook, so a
+    # hook whose function is gone or private would silently stop observing
+    spans = _spans()
+    public = set().union(*(_public_functions(layer) for layer in spans.LAYERS))
+    hooks = [name[len("_observe_"):] for name in vars(spans.Tracer)
+             if name.startswith("_observe_")]
+    assert hooks and not [name for name in hooks if name not in public]
+
+
+def test_limiting_ratio_result_feeds_its_observer():
+    # (m + 1)/(m + 2) is not a polynomial in 1/m, so the error is not 0
+    result = limiting_ratio(PowerSeries([m + 1 for m in range(65)]),
+                            PowerSeries([m + 2 for m in range(65)]))
+    error = result.diagnostics["error"]
+    assert isinstance(error, float) and error > 0
+    tracer = _spans().Tracer()
+    tracer._observe_limiting_ratio(result)
+    assert tracer.observed["singular.ladder_error_max"] == error

@@ -14,6 +14,14 @@ def test_literal_ordering_and_negate():
     assert str(Literal(3, False)) == "~x3"
 
 
+def test_literal_takes_an_int_variable_only():
+    # Literal(True) compared and hashed equal to Literal(1), and Literal(1.5)
+    # built, then failed in from_literal's shift with a TypeError
+    for var in (True, 1.5, 2.0, "1"):
+        with pytest.raises(InputError, match="int"):
+            Literal(var)
+
+
 def test_truth_table_bit_order():
     # x1 is the least significant bit of the assignment index
     f = BoolFunc.from_literal(Literal(1, True), 2)

@@ -9,12 +9,13 @@ import pytest
 
 from boolform import singular
 from boolform.errors import DomainError, NumericError
-from boolform.series import (solve_aux_series, solve_half_series,
-                             solve_model_series)
-from boolform.singular import (REFERENCE_CONSTANTS, analytic_evaluators,
-                               constant_estimate, dominant_singularity,
-                               limiting_ratio, probability_literal,
-                               probability_true, singularity_report, w_rates)
+from boolform.series import (PowerSeries, solve_aux_series,
+                             solve_half_series, solve_model_series)
+from boolform.singular import (RATIO_POINTS, REFERENCE_CONSTANTS,
+                               analytic_evaluators, constant_estimate,
+                               dominant_singularity, limiting_ratio,
+                               probability_literal, probability_true,
+                               singularity_report, w_rates)
 from boolform.trees import ModelId
 
 ALL_MODELS = list(ModelId)
@@ -113,18 +114,22 @@ def test_assoccomm_half_value_near_log2():
     assert abs(rep.rho - (2 * mp.log(2) - 1) / (2 * n)) / rep.rho < 1e-2
 
 
-def _catalan_dT(n):
-    # T = (1 - sqrt(1 - 16nz))/4
-    return lambda z: 2 * n / mp.sqrt(1 - 16 * n * z)
+def _shifted(series):
+    # T_m over T_(m+1): the series of T_m and of T_(m+1), both of order N - 1
+    coeffs = series.coeffs
+    return PowerSeries(coeffs[:-1]), PowerSeries(coeffs[1:])
 
 
 def test_limiting_ratio_on_known_series():
-    # S = T/2 has ratio exactly 1/2 regardless of the singularity
-    n = 1
-    dT = _catalan_dT(n)
-    rho = dominant_singularity(ModelId.CATALAN, n).rho
-    res = limiting_ratio(lambda z: dT(z) / 2, dT, rho)
-    assert abs(res.value - mp.mpf(1) / 2) < 1e-20
+    # S = T/2 has every ratio exactly 1/2, whatever the singularity
+    t = solve_model_series(ModelId.CATALAN, 1, 32)
+    res = limiting_ratio(t.scale(Fraction(1, 2)), t)
+    assert res.value == mp.mpf(1) / 2 and res.diagnostics["error"] == 0
+    # catalan's T_m/T_(m+1) tends to rho = 1/(16n)
+    n = 3
+    res = limiting_ratio(*_shifted(solve_model_series(ModelId.CATALAN, n, 128)))
+    with mp.workprec(256):
+        assert abs(res.value - mp.mpf(1) / (16 * n)) < mp.mpf("1e-25")
 
 
 def test_constants_carry_the_requested_precision():
@@ -143,11 +148,36 @@ def test_constants_carry_the_requested_precision():
 
 @pytest.mark.parametrize("precision", [-3, 0, 1, 52])
 def test_precision_below_53_bits_is_a_domain_error(precision):
-    dT = _catalan_dT(3)
+    t = solve_model_series(ModelId.CATALAN, 3, 32)
     with pytest.raises(DomainError, match="precision"):
         dominant_singularity(ModelId.COMM, 3, precision)
     with pytest.raises(DomainError, match="precision"):
-        limiting_ratio(dT, dT, mp.mpf(1) / 48, precision)
+        limiting_ratio(t, t, precision)
+
+
+def test_limiting_ratio_raises_on_a_ratio_without_limit():
+    # (-1)^m m over all-ones: the extrapolants swing wider than the ratios
+    order = 128
+    with pytest.raises(NumericError) as info:
+        limiting_ratio(PowerSeries([(-1) ** m * m for m in range(order + 1)]),
+                       PowerSeries([1] * (order + 1)))
+    assert isinstance(info.value.diagnostics["error"], float)
+
+
+def test_limiting_ratio_raises_on_a_zero_denominator_in_the_window():
+    ones = PowerSeries([1] * 65)
+    with pytest.raises(DomainError, match="den_m = 0"):
+        limiting_ratio(ones, PowerSeries([1] * 60 + [0] + [1] * 4))
+
+
+def test_limiting_ratio_needs_a_window_above_m_zero():
+    # the window m = N - K..N must start at m >= 1, so order K + 1 is the least
+    for order in (0, RATIO_POINTS - 1, RATIO_POINTS):
+        short = PowerSeries([1] * (order + 1))
+        with pytest.raises(DomainError, match="m < 1"):
+            limiting_ratio(short, short)
+    ones = PowerSeries([1] * (RATIO_POINTS + 2))
+    assert limiting_ratio(ones, ones).value == 1
 
 
 def test_numeric_error_beyond_branch_point():
@@ -248,9 +278,9 @@ PINNED_REPORTS_N100 = {
 }
 
 
-# sha256 of the repr of T, st and g at n = 100 on the 21 rungs
-# z = rho(1 - 1e-2 2^-k) of limiting_ratio's ladder, per precision in bits,
-# recorded once and frozen: catalan's evaluator is bit for bit the same
+# sha256 of the repr of T, st and g at n = 100 at 21 points approaching rho,
+# z = rho(1 - 1e-2 2^-k) for k = 0..20 (plain test data), per precision in
+# bits, recorded once and frozen: catalan's evaluator is bit for bit the same
 PINNED_EVALUATOR_DIGESTS_N100 = {
     ModelId.CATALAN: {
         60: "928c9f24a54dfa882a57266deb545f6634474d96e2cbdbc01751a8243026e7ff",
@@ -312,52 +342,40 @@ def test_w_rates_at_60_bits_agree_with_256_bits(model, n):
             assert abs(mp.mpf(a) - b) < abs(b) * mp.mpf("1e-12")
 
 
-def _neville_at_zero(xs, ys):
-    # value at x = 0 of the polynomial through the points (xs, ys)
-    p = list(ys)
-    for k in range(1, len(xs)):
-        for i in range(len(xs) - k):
-            p[i] = (xs[i + k] * p[i] - xs[i] * p[i + 1]) / (xs[i + k] - xs[i])
-    return p[0]
-
-
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 10, 300])
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_w_rates_match_extrapolated_coefficient_ratios(model, n):
-    # an independent route: the exact order-64 coefficient ratios S_m/T_m,
-    # extrapolated in 1/m from m = 54..64. More points diverge for the
-    # non-plane models (1.2e-4 with 15 points for assoccomm at n = 1).
-    t = solve_model_series(model, n, 64).coeffs
-    ms = range(54, 65)
-    xs = [Fraction(1, m) for m in ms]
-    limits = {}
-    for kind in ("st_x", "g_x"):
-        s = solve_aux_series(model, kind, n, 64).coeffs
-        limits[kind] = _neville_at_zero(xs, [Fraction(s[m]) / t[m] for m in ms])
-    w1, w2 = w_rates(model, n)
+    # an independent route: the exact order-128 coefficient ratios
+    # w1 = n lim st_x/T, w2 = lim g_x/T and rho = lim T_m/T_(m+1),
+    # extrapolated in 1/m; the worst case is 8.4e-18 (assoccomm, n = 1, w1)
+    t = solve_model_series(model, n, 128)
+    got = [n * limiting_ratio(solve_aux_series(model, "st_x", n, 128), t).value,
+           limiting_ratio(solve_aux_series(model, "g_x", n, 128), t).value,
+           limiting_ratio(*_shifted(t)).value]
+    rep = dominant_singularity(model, n)
     with mp.workprec(256):
-        for want, got in ((w1, n * limits["st_x"]), (w2, limits["g_x"])):
-            got = mp.mpf(got.numerator) / got.denominator
-            assert abs(got - want) < want * mp.mpf("1e-8")
+        for g, want in zip(got, (rep.w1, rep.w2, rep.rho)):
+            assert abs(g - want) < want * mp.mpf("1e-16"), (g, want)
 
 
-@pytest.mark.parametrize("model", ALL_MODELS)
-def test_w_rates_agree_with_the_ratio_ladder(model):
-    # limiting_ratio on numeric derivatives of the value closures, an
-    # independent route to the same limits
-    n, prec = 10, 128
-    with mp.workprec(prec):
-        ev = analytic_evaluators(model, n)
-        rho = dominant_singularity(model, n, prec).rho
+def test_limiting_ratio_reads_only_the_series(monkeypatch):
+    # the coefficient route uses no evaluator, root finder or derivative
+    series = {model: (solve_model_series(model, 2, 128),
+                      solve_aux_series(model, "g_x", 2, 128))
+              for model in ALL_MODELS}
+    want = {model: w_rates(model, 2)[1] for model in ALL_MODELS}
 
-        def slope(name):
-            return lambda z: mp.diff(ev[name], z)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the coefficient route left the series")
 
-        r_st = limiting_ratio(slope("st"), slope("T"), rho, prec).value
-        r_g = limiting_ratio(slope("g"), slope("T"), rho, prec).value
-        w1, w2 = w_rates(model, n, prec)
-        assert abs(n * r_st - w1) < w1 * mp.mpf("1e-30")
-        assert abs(r_g - w2) < w2 * mp.mpf("1e-30")
+    for name in ("_grammar", "_SeriesEval", "_regula_falsi", "_bisect",
+                 "dominant_singularity"):
+        monkeypatch.setattr(singular, name, refuse)
+    monkeypatch.setattr(mp, "diff", refuse)
+    for model, (t, g) in series.items():
+        got = limiting_ratio(g, t).value
+        with mp.workprec(256):
+            assert abs(got - want[model]) < want[model] * mp.mpf("1e-16")
 
 
 def test_w_rates_run_no_ladder(monkeypatch):
