@@ -26,6 +26,8 @@ class Literal:
     def __post_init__(self) -> None:
         if type(self.var) is not int or self.var < 1:
             raise InputError("variable index must be an int >= 1")
+        if type(self.positive) is not bool:
+            raise InputError("polarity must be a bool")
 
     def negate(self) -> "Literal":
         return Literal(self.var, not self.positive)

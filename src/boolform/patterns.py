@@ -1,10 +1,11 @@
 """Pattern languages N, R, S: matching, restrictions, half-embeddings.
 
 A pattern decomposes a tree into pattern leaves and placeholder subtrees.
-One decomposition, _shape_cands, serves labelled trees and the unlabelled
-shapes of the lemma verifier alike: it works on a tree's shape and returns
-its pattern leaves as bitmasks (bit i is the i-th leaf in preorder).  The
-placeholders of a tree are the largest subtrees that hold no pattern leaf.
+One decomposition, _cands, serves labelled trees and the unlabelled shapes
+of the lemma verifier alike: it works on a shape's record (_Shape) and
+returns its pattern leaves as bitmasks (bit i is the i-th leaf in
+preorder).  The placeholders of a tree are the largest subtrees that hold
+no pattern leaf.
 Matching is deterministic on plane trees; on non-plane trees every child
 ordering induces an embedding and minimal_embedding searches them all.
 
@@ -18,15 +19,16 @@ the asymptotic analysis, by exhausting connective-labelled shapes (the
 tree generator of boolform.exhaustive run over a one-symbol leaf
 alphabet) and vectorizing over all leaf labellings with numpy.  A shape's
 labellings are the product of its children's, so its truth table under
-every labelling is an outer product of its children's tables, and one
-memo per call shares the tables and decompositions of sub-shapes.
+every labelling is an outer product of its children's tables.  The
+generator builds one record per shape from its children's records, which
+hold their tables and masks for as long as the generator lists them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 
 import numpy as np
@@ -38,10 +40,13 @@ from .trees import AND, OR, ModelId, Tree, compute_function
 
 EMBEDDING_CAP = 1_000_000
 # leaf labellings verify_pattern_lemmas may check: catalan (7, 2) has 1.44e8
-# (0.4-0.5 s on a 2-core x86-64 host), (8, 2) 3.74e9 (7 s, 45 MB peak).  A
+# (0.2-0.4 s on a 2-core x86-64 host), (8, 2) 3.74e9 (2.1-2.3 s, 46 MB).  A
 # shape's table takes a byte per labelling, 16 KB at size 7 and n = 2, and
-# the memo keeps those of up to m - 2 leaves: 0.24 MB at catalan (7, 2) and at
-# most 2.5 MB under the cap, but 5.8 MB at (8, 2) and 3.7 GB at (10, 2)
+# the records the generator lists keep those of up to m - 2 leaves: 0.24 MB
+# at catalan (7, 2) and at most 2.5 MB under the cap, but 5.8 MB at (8, 2)
+# and 3.7 GB at (10, 2).  Most tautologies are only counted: l depth-2
+# pattern leaves repeat at least l - n times, so only the shapes with a mask
+# of at most n + 1 leaves index theirs (173 of 10,067 at catalan (7, 2))
 LEMMA_CAP = 1 << 28
 
 
@@ -59,11 +64,10 @@ def _pattern_for(model: ModelId, p: PatternId) -> None:
     raise DomainError("pattern %s not defined on model %s" % (p.value, model.value))
 
 
-def _continues_all(p: PatternId, conn: str) -> bool:
-    """Does the pattern recurse into every child of a conn-node?"""
-    if p is PatternId.S:
-        return conn == AND
-    return conn == OR
+def _every(p: PatternId) -> str:
+    """The connective whose nodes the pattern recurses into at every child;
+    at the other it keeps one child."""
+    return AND if p is PatternId.S else OR
 
 
 @dataclass
@@ -82,66 +86,73 @@ class RestrictionCount:
     realized: set
 
 
-def _shape_node(conn: str, kids) -> tuple:
-    # an unlabelled shape is a canonical tree over a one-symbol leaf alphabet
-    return (conn, tuple(kids))
+class _Shape:
+    """A connective-labelled shape, built from its children's records: bit i
+    of a mask is its i-th leaf in preorder, offsets[j] is child j's first
+    leaf, orp masks the leaves joined to the root by or-only paths, table is
+    its truth tables under all labellings when kept (width <= keep), and
+    masks caches its pattern-leaf masks per (connective, level).  A leaf has
+    no kids and is given its table."""
+
+    __slots__ = ("conn", "kids", "width", "offsets", "orp", "table", "masks")
+
+    def __init__(self, conn, kids, keep: int = 0, table=None):
+        self.conn, self.kids, self.table, self.masks = conn, kids, table, {}
+        self.width, self.orp, self.offsets = 1, 1, []
+        if kids:
+            pos = orp = 0
+            for c in kids:
+                self.offsets.append(pos)
+                orp |= c.orp << pos
+                pos += c.width
+            self.width, self.orp = pos, orp if conn == OR else 0
+            if pos <= keep:
+                self.table = _table(self)
+
+    def nested(self):
+        """The shape as nested (conn, kids) tuples, None for a leaf."""
+        return (self.conn, tuple(c.nested() for c in self.kids)) if self.kids else None
 
 
-def _shape(t: Tree):
-    return None if t.is_leaf() else _shape_node(t.conn, map(_shape, t.children))
+def _built(t: Tree, leaf: _Shape) -> _Shape:
+    if t.is_leaf():
+        return leaf
+    return _Shape(t.conn, [_built(c, leaf) for c in t.children])
 
 
-class _Memo(dict):
-    """Decompositions and tables of the sub-shapes met in one call, kept for
-    shapes of at most keep leaves; wider ones are rebuilt from their kept
-    children, which bounds the memory."""
+def _cands(s: _Shape, every: str, k: int, free: bool) -> list:
+    """Sorted pattern-leaf bitmasks of a shape, bit 0 its first leaf.
 
-    def __init__(self, keep: int):
-        super().__init__()
-        self.keep = keep
-
-
-def _shape_cands(shape, p: PatternId, k: int, free: bool, memo: _Memo):
-    """Pattern-leaf bitmasks of a shape, bit 0 its first leaf, and its width
-    (number of leaves).
-
-    k is the number of additional pattern levels plugged into placeholders
-    (depth = k+1); a subtree reached with k < 0 is a placeholder.  With free
-    False the first child continues (the deterministic plane reading);
-    otherwise every child may.  Each child is decomposed only in the roles
-    it can take, and its masks are shifted to its first leaf.  memo, keyed
-    by (shape, p, k), serves callers with one value of free.
+    every is _every(pattern).  k is the number of additional pattern levels
+    plugged into placeholders (depth = k+1); a subtree reached with k < 0 is
+    a placeholder.  With free False the first child continues (the
+    deterministic plane reading); otherwise every child may.  Each child is
+    decomposed only in the roles it can take, and its masks are shifted to
+    its first leaf.  The cache on s serves callers with one value of free.
     """
-    if shape is None:
-        return [1 if k >= 0 else 0], 1
-    key = (shape, p, k)
-    got = memo.get(key)
+    if k < 0 or not s.kids:
+        return [int(k >= 0)]
+    got = s.masks.get((every, k))
     if got is not None:
         return got
-    conn, kids = shape
-    every = k < 0 or _continues_all(p, conn)
-    keeps = range(len(kids)) if free and not every else (0,)
+    all_kids = s.conn == every
+    keeps = range(len(s.kids)) if free and not all_kids else (0,)
     cont, rest = {}, {}
-    pos = 0
-    for i, c in enumerate(kids):
+    for i, (c, pos) in enumerate(zip(s.kids, s.offsets)):
         if i in keeps:
-            sub, width = _shape_cands(c, p, k, free, memo)
-            cont[i] = [s << pos for s in sub]
+            cont[i] = [x << pos for x in _cands(c, every, k, free)]
         if i > 0 or len(keeps) > 1:
             # a child that is not kept continues too, or is one level lower
-            sub, width = _shape_cands(c, p, k if every else k - 1, free, memo)
-            rest[i] = [s << pos for s in sub]
-        pos += width
+            sub = _cands(c, every, k if all_kids else k - 1, free)
+            rest[i] = [x << pos for x in sub]
     out = []
     for keep in keeps:
         acc = cont[keep]
         for i, sub in rest.items():
             if i != keep:
-                acc = [a | s for a in acc for s in sub]
+                acc = [a | x for a in acc for x in sub]
         out.extend(acc)
-    got = sorted(set(out)), pos
-    if pos <= memo.keep:
-        memo[key] = got
+    got = s.masks[(every, k)] = sorted(set(out))
     return got
 
 
@@ -158,15 +169,16 @@ def _masks(t: Tree, p: PatternId, depth: int, free: bool) -> list:
     _pattern_for(t.model, p)
     if depth < 1:
         raise DomainError("pattern depth must be >= 1")
+    every = _every(p)
     if free:
         # orderings to search: product of arities over continue-choice nodes
         total = 1
         for _, node in t.nodes():
-            if not node.is_leaf() and not _continues_all(p, node.conn):
+            if not node.is_leaf() and node.conn != every:
                 total *= len(node.children)
                 if total > EMBEDDING_CAP:
                     raise ResourceCapError("embedding search over %d orderings" % total)
-    return _shape_cands(_shape(t), p, depth - 1, free, _Memo(0))[0]
+    return _cands(_built(t, _Shape(None, ())), every, depth - 1, free)
 
 
 def _minimal(t: Tree, masks: list) -> tuple[int, tuple[int, int, set]]:
@@ -284,35 +296,16 @@ def _outer(op, nxt: np.ndarray, acc: np.ndarray) -> np.ndarray:
     return op.outer(nxt, acc).ravel()
 
 
-def _shape_table(shape, leaf: np.ndarray, memo: _Memo) -> np.ndarray:
-    """Truth tables of a shape under all its labellings, indexed by code;
-    leaf is _literal_tables(n).  memo is keyed by shape."""
-    if shape is None:
-        return leaf
-    got = memo.get(shape)
-    if got is not None:
-        return got
-    conn, kids = shape
-    op = np.bitwise_and if conn == AND else np.bitwise_or
-    acc = _shape_table(kids[0], leaf, memo)
-    for c in kids[1:]:
-        acc = _outer(op, _shape_table(c, leaf, memo), acc)
-    if acc.size <= leaf.size ** memo.keep:
-        memo[shape] = acc
+def _table(s: _Shape) -> np.ndarray:
+    """Truth tables of a shape under all its labellings, indexed by code:
+    its kept table, or one folded from its children's."""
+    if s.table is not None:
+        return s.table
+    op = np.bitwise_and if s.conn == AND else np.bitwise_or
+    acc = _table(s.kids[0])
+    for c in s.kids[1:]:
+        acc = _outer(op, _table(c), acc)
     return acc
-
-
-def _or_path_leaves(shape) -> tuple[int, int]:
-    """Bitmask of leaves joined to the root by or-only paths, and the width."""
-    if shape is None:
-        return 1, 1
-    conn, kids = shape
-    mask = pos = 0
-    for c in kids:
-        sub, width = _or_path_leaves(c)
-        mask |= sub << pos
-        pos += width
-    return (mask if conn == OR else 0), pos
 
 
 @dataclass
@@ -363,11 +356,9 @@ def verify_pattern_lemmas(model: ModelId, m: int, n: int) -> LemmaReport:
     if total > LEMMA_CAP:
         raise ResourceCapError(
             "lemma check of %d labellings exceeds cap %d" % (total, LEMMA_CAP))
-    p = PatternId.N if model.binary else PatternId.R
     free = not model.plane
     nlits = 2 * n
     full = (1 << (1 << n)) - 1
-    lit_table = _literal_tables(n)
     # simple-tautology LUT over literal-presence masks (bit 2v+neg)
     simple_lut = np.zeros(1 << nlits, dtype=bool)
     for mask in range(1 << nlits):
@@ -376,7 +367,8 @@ def verify_pattern_lemmas(model: ModelId, m: int, n: int) -> LemmaReport:
     # tables of shapes up to m - 2 leaves are kept; a size-(m - 1) sub-shape
     # is rebuilt from its kept children, as keeping its table would cost
     # (2n)^(m - 1) bytes per shape (5.5 MB in all at catalan (7, 2))
-    memo = _Memo(m - 2)
+    leaf = _Shape(None, (), table=_literal_tables(n))
+    build = partial(_Shape, keep=m - 2)
     report = LemmaReport(model, m, n, 0)
     for size in range(1, m + 1):
         # code of the labelling with digit 1 (~x1) on a mask's leaves and
@@ -386,48 +378,50 @@ def verify_pattern_lemmas(model: ModelId, m: int, n: int) -> LemmaReport:
         spread = [sum(nlits ** i for i in range(size) if mask >> i & 1)
                   for mask in range(1 << size)]
         all_leaves = (1 << size) - 1
-        for shape in _generate(model, size, (None,), _shape_node):
-            root = _shape_table(shape, lit_table, memo)
+        for shape in _generate(model, size, (leaf,), build):
+            root = _table(shape)
             report.trees_checked += nlits ** size
             # (c) and (s) put ~x1 on the leaves set False, x1 on the others,
-            # and read the table at x1 = 1, its bit 1
-            d1, _w = _shape_cands(shape, p, 0, free, memo)
-            for cmask in d1:
+            # and read the table at x1 = 1, its bit 1.  N and R recurse into
+            # every child of an or-node, S of an and-node
+            for cmask in _cands(shape, OR, 0, free):
                 if root[spread[cmask]] & 2:
                     report.counterexamples.append(
-                        ("all-pattern-leaves-false", shape, cmask))
+                        ("all-pattern-leaves-false", shape.nested(), cmask))
             if model.stratified:
-                s1, _w = _shape_cands(shape, PatternId.S, 0, free, memo)
-                for cmask in s1:
+                for cmask in _cands(shape, AND, 0, free):
                     if not root[spread[all_leaves ^ cmask]] & 2:
                         report.counterexamples.append(
-                            ("all-s-leaves-true", shape, cmask))
-            taut = (root == full).nonzero()[0]
-            report.tautologies += len(taut)
-            if not len(taut):
-                continue
+                            ("all-s-leaves-true", shape.nested(), cmask))
+            is_taut = root == full
+            count = int(np.count_nonzero(is_taut))
+            report.tautologies += count
             # minimal depth-2 restriction count; tautologies have no
-            # essential variables, so restrictions = repetitions.  The (at
-            # least one) pattern leaves have two distinct variables when
-            # their variable bits v are neither all clear nor all set
-            d2, _w = _shape_cands(shape, p, 1, free, memo)
+            # essential variables, so restrictions = repetitions.  l pattern
+            # leaves repeat at least l - n times, so only masks of at most
+            # n + 1 leaves can bring the minimum below 2
+            near = [c for c in _cands(shape, OR, 1, free) if c.bit_count() <= n + 1]
+            if not near or not count:
+                continue
+            taut = is_taut.nonzero()[0]
+            # the (at least one) pattern leaves have two distinct variables
+            # when their variable bits v are neither all clear nor all set
             min_reps = None
-            for cmask in d2:
+            for cmask in near:
                 vm = 2 * (n - 1) * spread[cmask]
                 v = taut & vm
                 reps = cmask.bit_count() - 1 - ((v != 0) & (v != vm))
                 min_reps = reps if min_reps is None else np.minimum(min_reps, reps)
             for code in taut[min_reps < 1][:5]:
                 report.counterexamples.append(
-                    ("tautology-without-restriction", shape, int(code)))
+                    ("tautology-without-restriction", shape.nested(), int(code)))
             ones = taut[min_reps == 1]
             if len(ones):
-                orp, _w = _or_path_leaves(shape)
                 lmask = np.zeros(len(ones), dtype=np.int64)
                 for i in range(size):
-                    if (orp >> i) & 1:
+                    if (shape.orp >> i) & 1:
                         lmask |= 1 << ((ones >> (n * i)) & (nlits - 1))
                 for code in ones[~simple_lut[lmask]][:5]:
                     report.counterexamples.append(
-                        ("one-restriction-not-simple", shape, int(code)))
+                        ("one-restriction-not-simple", shape.nested(), int(code)))
     return report

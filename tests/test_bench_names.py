@@ -5,7 +5,7 @@ name that is no longer a public function of its layer raises KeyError in
 a traced benchmark run.  The names are checked here without installing
 the tracer, which would rewrap the package for the whole session.  So are
 the names of its observer hooks, `Tracer._observe_<name>`, and the result
-field that the `limiting_ratio` hook reads.
+fields that the `limiting_ratio` and `verify_pattern_lemmas` hooks read.
 """
 
 import importlib
@@ -13,8 +13,10 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+from boolform.patterns import verify_pattern_lemmas
 from boolform.series import PowerSeries
 from boolform.singular import limiting_ratio
+from boolform.trees import ModelId
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -73,3 +75,13 @@ def test_limiting_ratio_result_feeds_its_observer():
     tracer = _spans().Tracer()
     tracer._observe_limiting_ratio(result)
     assert tracer.observed["singular.ladder_error_max"] == error
+
+
+def test_lemma_report_feeds_its_observer():
+    # trees_checked counts every leaf labelling, (2n)^s per shape of s
+    # leaves, though the verifier indexes few of them one by one
+    tracer = _spans().Tracer()
+    tracer._observe_verify_pattern_lemmas(verify_pattern_lemmas(ModelId.CATALAN, 4, 2))
+    shapes = [1, 2, 8, 40]  # catalan's connective-labelled shapes, sizes 1..4
+    assert tracer.observed["patterns.labellings_checked"] == sum(
+        c * 4 ** s for s, c in enumerate(shapes, 1))

@@ -22,6 +22,14 @@ def test_literal_takes_an_int_variable_only():
             Literal(var)
 
 
+def test_literal_takes_a_bool_polarity_only():
+    # Literal(1, "no") printed as x1 and got x1's table yet was unequal to
+    # Literal(1, True); Literal(1, 0) compared and hashed like Literal(1, False)
+    for positive in ("no", 0, 1, None, 1.0):
+        with pytest.raises(InputError, match="bool"):
+            Literal(1, positive)
+
+
 def test_truth_table_bit_order():
     # x1 is the least significant bit of the assignment index
     f = BoolFunc.from_literal(Literal(1, True), 2)

@@ -1,6 +1,6 @@
 import hashlib
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import count, product
 
 import pytest
@@ -11,10 +11,10 @@ from boolform.boolfun import BoolFunc
 from boolform.errors import DomainError, ResourceCapError
 from boolform.exhaustive import (_generate, _literals, distribution,
                                  generate_trees, is_simple_tautology)
-from boolform.patterns import (PatternId, _literal_tables, _Memo,
-                               _shape_node, _shape_table, count_restrictions,
-                               labelling_count, labelling_weight,
-                               match_pattern, minimal_embedding, stirling2,
+from boolform.patterns import (PatternId, _literal_tables, _Shape, _table,
+                               count_restrictions, labelling_count,
+                               labelling_weight, match_pattern,
+                               minimal_embedding, stirling2,
                                verify_pattern_lemmas)
 from boolform.trees import ModelId, Tree, compute_function, parse_tree
 
@@ -26,6 +26,16 @@ FROZEN_SHAPE_COUNTS = {
     ModelId.ASSOC: [1, 2, 6, 22, 90, 394, 1806],
     ModelId.COMM: [1, 2, 4, 14, 44, 164, 616],
     ModelId.ASSOC_COMM: [1, 2, 4, 10, 24, 66, 180],
+}
+
+# (trees_checked, tautologies) of verify_pattern_lemmas(model, 7, 2), which
+# reports no counterexample, recorded before the verifier stopped indexing
+# the tautologies of shapes whose masks all have more than n + 1 leaves
+FROZEN_LEMMA_REPORTS_7_2 = {
+    ModelId.CATALAN: (144_157_220, 27_214_452),
+    ModelId.ASSOC: (31_301_540, 3_809_632),
+    ModelId.COMM: (10_813_220, 2_115_848),
+    ModelId.ASSOC_COMM: (3_246_884, 426_604),
 }
 
 # sha256 of (pattern leaves, placeholders, repetitions, restrictions, realized)
@@ -48,8 +58,15 @@ def _patterns(model):
 
 
 @lru_cache(maxsize=None)
+def _records(model, size, n=1):
+    """Records of a size's shapes, keeping the tables the verifier keeps."""
+    leaf = _Shape(None, (), table=_literal_tables(n))
+    return list(_generate(model, size, (leaf,), partial(_Shape, keep=size - 2)))
+
+
+@lru_cache(maxsize=None)
 def _shapes(model, size):
-    return list(_generate(model, size, (None,), _shape_node))
+    return [r.nested() for r in _records(model, size)]
 
 
 def _labelled(shape, code, n, model):
@@ -201,8 +218,7 @@ def test_labelling_count_rejects_out_of_range_arguments(l, k, m, n, v):
 
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_lemmas_hold_at_small_sizes(model):
-    shapes = [list(_generate(model, m, (None,), _shape_node))
-              for m in range(1, 8)]
+    shapes = [_shapes(model, m) for m in range(1, 8)]
     assert [len(s) for s in shapes] == FROZEN_SHAPE_COUNTS[model]
     assert all(len(set(s)) == len(s) for s in shapes)
     for n in (1, 2):
@@ -285,11 +301,11 @@ def test_lemmas_a_b_tree_by_tree(model, tautologies):
 @given(st.sampled_from(ALL_MODELS), st.integers(1, 6), st.sampled_from([1, 2]),
        st.data())
 def test_shape_table_entry_is_the_labelled_trees_function(model, size, n, data):
-    shapes = _shapes(model, size)
+    shapes = _records(model, size, n)
     shape = shapes[data.draw(st.integers(0, len(shapes) - 1))]
     code = data.draw(st.integers(0, (2 * n) ** size - 1))
-    table = _shape_table(shape, _literal_tables(n), _Memo(size - 2))
-    tree = _labelled(shape, code, n, model)
+    table = _table(shape)
+    tree = _labelled(shape.nested(), code, n, model)
     assert int(table[code]) == compute_function(tree, n).table
 
 
@@ -297,7 +313,12 @@ def test_shape_table_entry_is_the_labelled_trees_function(model, size, n, data):
 def test_planted_false_lemma_b_is_reported(model, monkeypatch):
     # with no or-path leaf no tautology is simple, so each one whose minimal
     # restriction count is 1 breaks lemma (b): at most 5 are kept per shape
-    monkeypatch.setattr(patterns, "_or_path_leaves", lambda shape: (0, 0))
+    real = patterns._Shape.__init__
+
+    def no_or_paths(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        self.orp = 0
+    monkeypatch.setattr(patterns._Shape, "__init__", no_or_paths)
     rep = verify_pattern_lemmas(model, 5, 2)
     assert rep.counterexamples
     per_shape = Counter(shape for _, shape, _ in rep.counterexamples)
@@ -314,13 +335,38 @@ def test_planted_false_lemma_b_is_reported(model, monkeypatch):
 def test_planted_false_lemma_c_is_reported(model, monkeypatch):
     # a depth-1 pattern without leaves sets no leaf False, and a tree whose
     # leaves are all True computes True: every shape breaks lemma (c) once
-    real = patterns._shape_cands
+    real = patterns._cands
 
-    def no_leaves(shape, p, k, free, memo):
-        masks, width = real(shape, p, k, free, memo)
-        return ([0] if k == 0 else masks), width
-    monkeypatch.setattr(patterns, "_shape_cands", no_leaves)
+    def no_leaves(s, every, k, free):
+        return [0] if k == 0 else real(s, every, k, free)
+    monkeypatch.setattr(patterns, "_cands", no_leaves)
     rep = verify_pattern_lemmas(model, 5, 1)
     broken = [shape for kind, shape, _ in rep.counterexamples
               if kind == "all-pattern-leaves-false"]
     assert broken == [s for m in range(1, 6) for s in _shapes(model, m)]
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_planted_false_lemma_a_is_reported(model, monkeypatch):
+    # a depth-2 pattern of the first leaf alone repeats no variable, so every
+    # tautology breaks lemma (a): at most 5 are kept per shape
+    real = patterns._cands
+
+    def first_leaf(s, every, k, free):
+        return [1] if k == 1 else real(s, every, k, free)
+    monkeypatch.setattr(patterns, "_cands", first_leaf)
+    rep = verify_pattern_lemmas(model, 5, 2)
+    assert rep.counterexamples
+    per_shape = Counter(shape for _, shape, _ in rep.counterexamples)
+    assert max(per_shape.values()) == 5
+    for kind, shape, code in rep.counterexamples:
+        assert kind == "tautology-without-restriction"
+        t = _labelled(shape, code, 2, model)
+        assert compute_function(t, 2) == BoolFunc.constant(2, True)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_lemma_report_at_size_7_pinned(model):
+    rep = verify_pattern_lemmas(model, 7, 2)
+    assert (rep.trees_checked, rep.tautologies) == FROZEN_LEMMA_REPORTS_7_2[model]
+    assert rep.counterexamples == []
