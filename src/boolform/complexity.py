@@ -11,17 +11,16 @@ walk serves all four models and branches only on binary/plane (_sites).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .boolfun import BoolFunc, Literal
-from .errors import DomainError, ResourceCapError
-from .trees import AND, OR, ModelId, Tree, compute_function, opposite
+from .errors import DomainError
+from .trees import AND, OR, ModelId, Tree, _fold, compute_function
 from .exhaustive import generate_trees
 from . import singular
-
-SEARCH_BUDGET = 8
 
 
 @dataclass
@@ -37,16 +36,19 @@ class MinimalTreeSet:
 
 
 def complexity(f: BoolFunc, model: ModelId) -> MinimalTreeSet:
-    """Search sizes 1, 2, ... until some tree computes f; return them all."""
+    """Search sizes 1, 2, ... until some tree computes f; return them all.
+
+    Every non-constant f has a tree (its DNF), so the search ends, unless
+    generate_trees' cap raises ResourceCapError first: on n = 3 at size 6
+    (catalan), 7 (assoc, comm) or 8 (assoccomm), no later on more variables.
+    """
     if f.is_constant():
         return MinimalTreeSet(f, model, 0, [])
-    for m in range(1, SEARCH_BUDGET + 1):
+    for m in itertools.count(1):
         found = [t for t in generate_trees(model, m, f.n)
                  if compute_function(t, f.n) == f]
         if found:
             return MinimalTreeSet(f, model, m, found)
-    raise ResourceCapError("no tree of size <= %d computes %s"
-                           % (SEARCH_BUDGET, f))
 
 
 def complexity_model_independence(f: BoolFunc) -> bool:
@@ -67,77 +69,63 @@ class ExpansionTally:
     per_tree: list = field(default_factory=list)  # (tree, t_count, x_count)
 
 
-def _sites(t: Tree):
-    """(conn, ways, build) per class of expansion sites of t: build(w) is t
-    with the witness w placed as a child of a conn-node, and ways is the
-    number of sites in the class.
+def _sites(t: Tree, n: int):
+    """(conn, ways, table, up) per class of expansion sites of t, on n
+    variables: the class joins the witness w to a node of truth table
+    `table` under a conn-node, so the expanded tree's table is
+    up(_fold(conn, (table, w))), where up(h) is t's table with that node's
+    replaced by h.  ways is the number of sites in the class.
 
     Any node can be pushed down under a new conn-node beside the witness; in
     a stratified model conn must differ from the node's connective and its
     parent's.  In a stratified model an internal node can also take the
-    witness as one more child.  And and Or commute, so the two sides of a
-    plane push-down, and the len(kids) + 1 gaps of a plane insertion, form
-    one class.
+    witness as one more child, and and(kids..., w) = and(kids...) & w.  And
+    and Or commute, so the two sides of a plane push-down, and the
+    len(kids) + 1 gaps of a plane insertion, form one class.
     """
     model = t.model
 
-    def walk(node: Tree, parent_conn: Optional[str], rebuild):
-        # rebuild(sub) is t with this node replaced by sub
+    def walk(node: Tree, table: int, parent_conn: Optional[str], up):
         for conn in (AND, OR):
             if model.binary or conn not in (node.conn, parent_conn):
-                def build(w, conn=conn):
-                    return rebuild(Tree.internal(conn, [node, w], model))
-                yield conn, 2 if model.plane else 1, build
+                yield conn, 2 if model.plane else 1, table, up
         kids = node.children
         if kids and not model.binary:
-            def build(w):
-                return rebuild(Tree.internal(node.conn, kids + (w,), model))
-            yield node.conn, len(kids) + 1 if model.plane else 1, build
-        for i, child in enumerate(kids):
-            def rebuild_child(sub, i=i):
-                return rebuild(Tree.internal(
-                    node.conn, kids[:i] + (sub,) + kids[i + 1:], model))
-            yield from walk(child, node.conn, rebuild_child)
+            yield node.conn, len(kids) + 1 if model.plane else 1, table, up
+        tables = [compute_function(kid, n).table for kid in kids]
+        for i, kid in enumerate(kids):
+            def up_kid(h, i=i):
+                return up(_fold(node.conn, tables[:i] + [h] + tables[i + 1:]))
+            yield from walk(kid, tables[i], node.conn, up_kid)
 
-    yield from walk(t, None, lambda sub: sub)
+    yield from walk(t, compute_function(t, n).table, None, lambda h: h)
 
 
 def enumerate_expansions(ts: MinimalTreeSet) -> ExpansionTally:
     """Tally valid T- and X-expansion sites over all minimal trees.
 
-    Every class of candidate sites is validated by actually building the
-    expanded tree with a two-leaf witness on a fresh variable and
-    re-checking the computed function.  Validity is uniform over same-kind
-    witnesses and over the sites of a class, so one build decides each.
+    The witnesses are the smallest legal inserts, two leaves on a fresh
+    variable y under the other connective: y | ~y (T) and x | y (X) below
+    an and-node, y & ~y and x & y below an or-node, for each literal x of
+    an essential variable.  A T-witness is neutral, so every T-site is
+    valid.  An X-witness is neutral at one value of y and x at the other,
+    so it is valid exactly when joining the node to x with the site's
+    connective leaves f unchanged, which is decided on f's own n variables.
     """
     f = ts.f
     if f.is_constant():
         raise DomainError("expansions are defined for non-constant functions")
-    model, n = ts.model, f.n
-    lifted = f.lift(n + 1)
-    y = Literal(n + 1)
-    # X-realizations range over literals of essential variables; validity
-    # depends on the polarity, so both are tried per site
-    essential = [Literal(v, pol) for v in sorted(f.essential_vars())
-                 for pol in (True, False)]
-    # the smallest legal inserts, two leaves under the other connective:
-    # y | ~y and x | y below an and-node, y & ~y and x & y below an or-node
-    def pair(conn: str, a: Literal, b: Literal) -> Tree:
-        return Tree.internal(opposite(conn), [Tree.leaf(a, model),
-                                              Tree.leaf(b, model)], model)
-    witnesses = {c: (pair(c, y, y.negate()), [pair(c, x, y) for x in essential])
-                 for c in (AND, OR)}
-    tally = ExpansionTally(f, model, 0, 0)
-
-    def valid(expanded: Tree) -> bool:
-        return compute_function(expanded, n + 1) == lifted
-
+    n = f.n
+    # validity depends on the polarity, so both are tried per site
+    xs = [BoolFunc.from_literal(Literal(v, pol), n).table
+          for v in sorted(f.essential_vars()) for pol in (True, False)]
+    tally = ExpansionTally(f, ts.model, 0, 0)
     for t in ts.trees:
         t_count = x_count = 0
-        for conn, ways, build in _sites(t):
-            w_t, w_xs = witnesses[conn]
-            t_count += ways * valid(build(w_t))
-            x_count += ways * sum(valid(build(w)) for w in w_xs)
+        for conn, ways, table, up in _sites(t, n):
+            t_count += ways
+            x_count += ways * sum(up(_fold(conn, (table, x))) == f.table
+                                  for x in xs)
         tally.lambda_T += t_count
         tally.lambda_X += x_count
         tally.per_tree.append((t, t_count, x_count))
@@ -253,8 +241,8 @@ def probability_vs_bounds(
     When the limit falls outside the bounds, `reason` names the missed
     bound and the gap.
     """
-    if not n_grid:
-        raise DomainError("n_grid needs at least one value")
+    if not n_grid or min(n_grid) < 1:
+        raise DomainError("n_grid needs at least one value, each >= 1")
     ts = complexity(f, model)
     tally = enumerate_expansions(ts)
     bounds = _published(model, ts.L, ts.M)[0]

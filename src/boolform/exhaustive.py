@@ -313,8 +313,13 @@ def distribution(model: ModelId, m: int, n: int) -> Distribution:
 
 def distribution_by_generation(model: ModelId, m: int, n: int) -> Distribution:
     """Same result as distribution(), by generating every tree (cross-check)
-    as its truth table: the literals' tables folded by compute_function's fold."""
-    _check_cap(model, m, n)
+    as its truth table: the literals' tables folded by compute_function's fold.
+    Like distribution() it refuses n > 4: it keeps a 2^n-bit table for every
+    listed subtree and every distinct result."""
+    _check_cap(model, m, n)  # also rejects m < 1 and n < 1
+    if n > 4:
+        raise ResourceCapError("distribution by generation supports n <= 4, "
+                               "as the DP it checks does")
     leaves = [BoolFunc.from_literal(lit, n).table for lit in _literals(n)]
     tables = Counter(_generate(model, m, leaves, _fold))
     counts = {BoolFunc(n, table): c for table, c in tables.items()}

@@ -151,10 +151,10 @@ def canonicalize(raw: RawTree, model: ModelId) -> Tree:
     raise StructureError("unrecognized raw tree: %r" % (raw,))
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _positive_tables(n: int) -> tuple[int, ...]:
-    # x1..xn, kept for the two n (f.n, f.n + 1) that complexity's search and
-    # its expansions alternate between; one n = 24 entry holds 48 MB
+    # x1..xn, kept for the one n (f.n) that complexity's search and its
+    # expansions both use; one n = 24 entry holds 48 MB
     return tuple(BoolFunc.from_literal(Literal(v), n).table for v in range(1, n + 1))
 
 

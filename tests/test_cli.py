@@ -110,6 +110,7 @@ def test_missing_flag_is_usage_error(capsys):
     ["singularity", "--model", "assoc", "--vars", "1", "--order", "-5"],
     ["ratio", "--model", "catalan", "--vars", "1", "--order", "0"],
     ["constants-table", "--n-grid", "5,5,5"],
+    ["complexity", "--model", "catalan", "--fn", "n:3:ea", "--estimate-n", "0"],
 ])
 def test_out_of_range_vars_or_order_is_usage_error(capsys, argv):
     code, out, err = _capture(capsys, argv)

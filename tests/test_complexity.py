@@ -4,6 +4,7 @@ import importlib
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from boolform import exhaustive
 from boolform.boolfun import BoolFunc, Literal
 from boolform.complexity import (MinimalTreeSet, _sites, complexity,
                                  complexity_model_independence,
@@ -55,10 +56,10 @@ def test_model_independence_all_sixteen():
                for t in range(16))
 
 
-def test_search_budget_raises(monkeypatch):
-    # boolform.complexity is the function; the module is imported by name
-    monkeypatch.setattr(importlib.import_module("boolform.complexity"),
-                        "SEARCH_BUDGET", 3)
+def test_generation_cap_ends_the_search(monkeypatch):
+    # XOR needs size 4, whose 10,240 trees plus the 544 listed smaller ones
+    # exceed the cap
+    monkeypatch.setattr(exhaustive, "GENERATION_CAP", 1000)
     with pytest.raises(ResourceCapError):
         complexity(XOR, ModelId.CATALAN)
 
@@ -163,9 +164,9 @@ def test_catalan_sites_are_one_class_per_node_and_connective():
                  "(and (or x1 (and x2 x3)) (or ~x1 x3))"):
         t = parse_tree(text, ModelId.CATALAN)
         leaves = sum(1 for _ in t.leaves())
-        sites = list(_sites(t))
+        sites = list(_sites(t, 3))
         assert len(sites) == 2 * (2 * leaves - 1)
-        assert sum(ways for _, ways, _ in sites) == 4 * (2 * leaves - 1)
+        assert sum(ways for _, ways, _, _ in sites) == 4 * (2 * leaves - 1)
 
 
 def test_lambda_t_matches_closed_form():
@@ -232,6 +233,19 @@ def test_probability_vs_bounds_rejects_an_empty_grid():
     # an empty grid raised IndexError after the search
     with pytest.raises(DomainError, match="n_grid"):
         probability_vs_bounds(AND12, ModelId.CATALAN, n_grid=())
+
+
+def test_probability_vs_bounds_checks_the_grid_before_searching(monkeypatch):
+    # n_grid = (0,) failed in dominant_singularity after the search and tally
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched before checking n_grid")
+
+    # boolform.complexity is the function; the module is imported by name
+    monkeypatch.setattr(importlib.import_module("boolform.complexity"),
+                        "complexity", refuse)
+    for grid in ((0,), (100, -1)):
+        with pytest.raises(DomainError, match="n_grid"):
+            probability_vs_bounds(AND12, ModelId.CATALAN, n_grid=grid)
 
 
 def test_probability_vs_bounds_internal_consistency():

@@ -355,6 +355,17 @@ def test_streamed_tables_match_compute_function(model):
                            for t in generate_trees(model, m, n)))
 
 
+def test_distribution_by_generation_refuses_more_than_four_variables(
+        monkeypatch):
+    # as distribution() does, before any 2^n-bit table is listed
+    def refuse(*args, **kwargs):
+        raise AssertionError("generated before checking n")
+
+    monkeypatch.setattr(exhaustive, "_generate", refuse)
+    with pytest.raises(ResourceCapError):
+        distribution_by_generation(ModelId.CATALAN, 3, 5)
+
+
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_distribution_by_generation_builds_no_tree(monkeypatch, model):
     def refuse(*args, **kwargs):
