@@ -23,7 +23,7 @@ for name, f in FUNCTIONS:
     for model in ModelId:
         ts = complexity(f, model)
         tally = enumerate_expansions(ts)
-        b = lambda_bounds(f, model)
+        b = lambda_bounds(ts)
         line = ("  %-10s L=%d M=%-2d lambda_T=%-3d lambda_X=%-3d "
                 "bounds=[%.5f, %.5f]" % (model.value, ts.L, ts.M,
                                          tally.lambda_T, tally.lambda_X,

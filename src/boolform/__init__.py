@@ -1,4 +1,10 @@
-"""Workbench for the combinatorics of random And/Or Boolean formulas."""
+"""Workbench for the combinatorics of random And/Or Boolean formulas.
+
+The package re-exports each module's public functions.  One name is both:
+`boolform.complexity` is the function complexity(), which shadows the
+submodule of that name as a package attribute.  Reach the module with
+importlib.import_module("boolform.complexity") or through sys.modules.
+"""
 
 from .boolfun import BoolFunc, Literal
 from .errors import (DomainError, InputError, NumericError, ResourceCapError,
@@ -23,7 +29,6 @@ from .exhaustive import (
     distribution_by_generation,
     generate_trees,
     is_simple_tautology,
-    is_simple_x,
 )
 from .series import (
     AUX_KINDS,
@@ -53,11 +58,8 @@ from .patterns import (
     PatternMatch,
     RestrictionCount,
     count_restrictions,
-    labelling_count,
-    labelling_weight,
     match_pattern,
     minimal_embedding,
-    stirling2,
     verify_pattern_lemmas,
 )
 from .complexity import (
@@ -65,7 +67,6 @@ from .complexity import (
     ExpansionTally,
     MinimalTreeSet,
     complexity,
-    complexity_model_independence,
     enumerate_expansions,
     lambda_bounds,
     lambda_t_reference,

@@ -50,6 +50,9 @@ def _assignment_index(assignment: Iterable[int]) -> tuple[int, int]:
 
 
 def _check_n(n: int) -> None:
+    # a bool would alias n = 1 and a float breaks the table arithmetic
+    if type(n) is not int:
+        raise InputError("n must be an int, got %s" % type(n).__name__)
     # before any 2^n-bit table is built: n = 40 would take 128 GiB
     if not 1 <= n <= 24:
         raise InputError("n must be in 1..24")
@@ -64,6 +67,9 @@ class BoolFunc:
 
     def __post_init__(self) -> None:
         _check_n(self.n)
+        if type(self.table) is not int:
+            raise InputError("table must be an int, got %s"
+                             % type(self.table).__name__)
         if not 0 <= self.table < (1 << (1 << self.n)):
             raise InputError("table does not fit in 2^n bits")
 

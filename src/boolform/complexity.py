@@ -51,11 +51,6 @@ def complexity(f: BoolFunc, model: ModelId) -> MinimalTreeSet:
             return MinimalTreeSet(f, model, m, found)
 
 
-def complexity_model_independence(f: BoolFunc) -> bool:
-    values = {complexity(f, model).L for model in ModelId}
-    return len(values) == 1
-
-
 # ---------------------------------------------------------------------------
 # expansions
 
@@ -146,15 +141,15 @@ SQRT2 = math.sqrt(2.0)
 LN2 = math.log(2.0)
 
 
-def _lm(f: BoolFunc, model: ModelId) -> tuple[int, int]:
-    ts = complexity(f, model)
+def _bounds_of(ts: MinimalTreeSet) -> tuple[Bounds, Bounds, Bounds]:
     if ts.L == 0:
         raise DomainError("bounds are defined for non-constant functions")
-    return ts.L, ts.M
+    return _published(ts.model, ts.L, ts.M)
 
 
-def lambda_bounds(f: BoolFunc, model: ModelId) -> Bounds:
-    """Closed-form bounds on the constant lambda_f, per model.
+def lambda_bounds(ts: MinimalTreeSet) -> Bounds:
+    """Closed-form bounds on the constant lambda_f, per model, read from
+    the minimal trees complexity() found.
 
     The formulas are the published ones.  The `comm` pair collapses at
     L = 1 (M = 1) to 1153/4096, the published literal constant, which
@@ -162,7 +157,7 @@ def lambda_bounds(f: BoolFunc, model: ModelId) -> Bounds:
     `probability_vs_bounds(x1, comm)` reports `within_bounds: False` and
     says why in `reason`.
     """
-    return _published(model, *_lm(f, model))[0]
+    return _bounds_of(ts)[0]
 
 
 def _published(model: ModelId, L: int, M: int) -> tuple[Bounds, Bounds, Bounds]:
@@ -199,14 +194,14 @@ def _published(model: ModelId, L: int, M: int) -> tuple[Bounds, Bounds, Bounds]:
     return tuple(Bounds(lo, hi, restricted) for lo, hi in pairs)
 
 
-def lambda_x_bounds(f: BoolFunc, model: ModelId) -> Bounds:
+def lambda_x_bounds(ts: MinimalTreeSet) -> Bounds:
     """Bounds on the X-expansion tally lambda_X(f)."""
-    return _published(model, *_lm(f, model))[1]
+    return _bounds_of(ts)[1]
 
 
-def lambda_t_reference(f: BoolFunc, model: ModelId) -> Bounds:
+def lambda_t_reference(ts: MinimalTreeSet) -> Bounds:
     """Exact value (binary models) or bounds on the T-expansion tally."""
-    return _published(model, *_lm(f, model))[2]
+    return _bounds_of(ts)[2]
 
 
 def _tol(bounds: Bounds) -> float:

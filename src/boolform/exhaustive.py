@@ -37,7 +37,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .boolfun import BoolFunc, Literal
-from .errors import DomainError, ResourceCapError
+from .errors import DomainError, NumericError, ResourceCapError
 from .trees import AND, OR, ModelId, Tree, _fold, compute_function, opposite
 
 GENERATION_CAP = 50_000_000
@@ -259,6 +259,17 @@ def _int_type(bound: int):
                  if bound <= np.iinfo(t).max), object)
 
 
+def _check_total(counts: list, expected: int, dtype) -> None:
+    """The DP's counts must be nonnegative and sum to the tree count: numpy
+    wraps on overflow, so a too narrow dtype shows as a wrong total."""
+    total = sum(counts)
+    if total != expected or min(counts) < 0:
+        raise NumericError(
+            "value DP total %d != tree count %d (dtype %s)"
+            % (total, expected, dtype),
+            {"total": total, "expected": expected, "dtype": str(dtype)})
+
+
 # ---------------------------------------------------------------------------
 # distributions
 
@@ -304,11 +315,8 @@ def distribution(model: ModelId, m: int, n: int) -> Distribution:
     tables = np.flatnonzero(vec)
     counts = {BoolFunc(n, tab): cnt
               for tab, cnt in zip(tables.tolist(), vec[tables].tolist())}
-    total = sum(counts.values())
-    # numpy wraps on overflow, so a negative count is an error too
-    if total != expected or min(counts.values()) < 0:
-        raise AssertionError("distribution total %d != count %d" % (total, expected))
-    return Distribution(model, m, n, counts, total)
+    _check_total(list(counts.values()), expected, vec.dtype)
+    return Distribution(model, m, n, counts, expected)
 
 
 def distribution_by_generation(model: ModelId, m: int, n: int) -> Distribution:
@@ -330,56 +338,19 @@ def distribution_by_generation(model: ModelId, m: int, n: int) -> Distribution:
 # classifiers
 
 
-def _path_literals(t: Tree, conn: str) -> set[Literal]:
-    """Literals joined to the root by a conn-only path (a lone leaf counts)."""
-    if t.is_leaf():
-        return {t.literal}  # type: ignore[arg-type]
-    if t.conn != conn:
-        return set()
-    return set().union(*(_path_literals(c, conn) for c in t.children))
-
-
 def or_path_literals(t: Tree) -> set[Literal]:
     """Literals joined to the root by an or-only path (a lone leaf counts)."""
-    return _path_literals(t, OR)
+    if t.is_leaf():
+        return {t.literal}  # type: ignore[arg-type]
+    if t.conn != OR:
+        return set()
+    return set().union(*(or_path_literals(c) for c in t.children))
 
 
 def is_simple_tautology(t: Tree) -> set[int]:
     """Variables realizing t as a simple tautology (empty set = not simple)."""
     lits = or_path_literals(t)
     return {lit.var for lit in lits if lit.negate() in lits}
-
-
-def _is_simple_contradiction(t: Tree) -> bool:
-    # the dual's or-paths are t's and-paths, every literal negated
-    lits = _path_literals(t, AND)
-    return any(lit.negate() in lits for lit in lits)
-
-
-def is_simple_x(t: Tree):
-    """Classify as ('x_T', lit), ('x_X', lit) or None.
-
-    Shapes (binary root): lit & ST, lit | SC, lit & (lit | ...),
-    lit | (lit & ...), where the companion of the second pair repeats the
-    literal and carries no other first-level leaf with the same variable.
-    """
-    if t.is_leaf() or len(t.children) != 2:
-        return None
-    c1, c2 = t.children
-    for a, b in ((c1, c2), (c2, c1)):
-        if not a.is_leaf():
-            continue
-        lit = a.literal
-        if t.conn == AND and is_simple_tautology(b):
-            return ("x_T", lit)
-        if t.conn == OR and _is_simple_contradiction(b):
-            return ("x_T", lit)
-        if not b.is_leaf() and b.conn == opposite(t.conn):
-            leaf_kids = [c.literal for c in b.children if c.is_leaf()]
-            if (lit in leaf_kids
-                    and sum(1 for l in leaf_kids if l.var == lit.var) == 1):
-                return ("x_X", lit)
-    return None
 
 
 def classify_tautologies(model: ModelId, m: int, n: int) -> tuple[int, int]:
@@ -401,11 +372,16 @@ def classifier_counts(model: ModelId, kind: str, m: int, n: int) -> int:
     """
     if kind not in ("g_x", "st_x"):
         raise DomainError("unknown classifier kind %r" % kind)
-    # count_trees also rejects m < 1 and n < 1
-    dtype = _int_type(2 * m * count_trees(model, m, n))
+    expected = count_trees(model, m, n)  # also rejects m < 1 and n < 1
+    dtype = _int_type(2 * m * expected)
+    # the swap sums in the DP's dtype, so a too narrow one wraps there as it
+    # does everywhere else, and the totals check sees it
     vec = _value_dp(model, m, np.array([2 * n - 2, 1, 1, 0], dtype),
-                    lambda v: np.array([v.sum(), 0, 0, 0], v.dtype))
-    return int(vec[3] if kind == "st_x" else vec[1] + vec[3])
+                    lambda v: np.array([v.sum(dtype=v.dtype), 0, 0, 0],
+                                       v.dtype))
+    states = vec.tolist()
+    _check_total(states, expected, vec.dtype)
+    return states[3] if kind == "st_x" else states[1] + states[3]
 
 
 def classifier_counts_by_generation(model: ModelId, kind: str, m: int,

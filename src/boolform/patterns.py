@@ -28,8 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache, partial
-from math import comb
+from functools import partial
 
 import numpy as np
 
@@ -220,53 +219,6 @@ def count_restrictions(t: Tree, p: PatternId, depth: int = 1) -> RestrictionCoun
 def minimal_embedding(t: Tree, p: PatternId, depth: int = 1) -> PatternMatch:
     """Embedding of a non-plane tree minimizing the restriction count."""
     return _match(t, p, depth, _minimal(t, _masks(t, p, depth, True))[0])
-
-
-# ---------------------------------------------------------------------------
-# labelling counts (cross-checks for the asymptotic weight polynomial)
-
-
-@lru_cache(maxsize=None)
-def stirling2(l: int, j: int) -> int:
-    if l < 0 or j < 0:
-        raise DomainError("stirling2 needs l, j >= 0")
-    if l == j == 0:
-        return 1
-    if l == 0 or j == 0 or j > l:
-        return 0
-    return j * stirling2(l - 1, j) + stirling2(l - 1, j - 1)
-
-
-def _falling(a: int, b: int) -> int:
-    out = 1
-    for i in range(b):
-        out *= a - i
-    return out
-
-
-def labelling_weight(v: int, k: int, l: int) -> int:
-    """w_{v,k}(l): the l-dependent part of the k-restriction labelling count."""
-    if min(v, k, l) < 0:
-        raise DomainError("labelling_weight needs v, k, l >= 0")
-    # terms with r > l have no l - r distinct pattern variables
-    return sum(stirling2(l, l - r) * comb(v, k - r) * _falling(l - r, k - r)
-               for r in range(0, min(k, l) + 1))
-
-
-def labelling_count(l: int, k: int, m: int, n: int, v: int,
-                    plane: bool = True) -> int:
-    """Leaf-labellings with k restrictions, essential set prescribed of size v.
-
-    A labelling assigns each leaf a variable and polarity; restrictions are
-    counted as repetitions among the l pattern leaves plus the number of
-    prescribed variables appearing there.  The plane count labels all m
-    leaves; the mobile variant labels the pattern leaves only.
-    """
-    if not (0 <= v <= n and 0 <= l <= m and k >= 0):
-        raise DomainError("need 0 <= v <= n, 0 <= l <= m and k >= 0")
-    # l - k of the distinct pattern variables are unprescribed, for every r
-    ways = labelling_weight(v, k, l) * _falling(n - v, l - k)
-    return ways * (n ** (m - l) * 2 ** m if plane else 2 ** l)
 
 
 # ---------------------------------------------------------------------------

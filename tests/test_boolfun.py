@@ -137,6 +137,15 @@ def test_invalid_inputs_rejected():
         Literal(0, True)
 
 
+@pytest.mark.parametrize("n,table", [(1, True), (True, 2), (2, 3.0), (2.0, 3)])
+def test_non_int_arguments_rejected(n, table):
+    # BoolFunc(1, True) equalled BoolFunc(1, 1), BoolFunc(True, 2) aliased
+    # n = 1, BoolFunc(2, 3.0) failed only in to_string, BoolFunc(2.0, 3)
+    # raised a bare TypeError
+    with pytest.raises(InputError, match="must be an int"):
+        BoolFunc(n, table)
+
+
 @given(st.integers(min_value=1, max_value=4), st.data())
 def test_serialization_roundtrip(n, data):
     table = data.draw(st.integers(min_value=0, max_value=(1 << (1 << n)) - 1))

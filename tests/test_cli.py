@@ -1,8 +1,10 @@
 import importlib
 import json
 
+import numpy as np
 import pytest
 
+from boolform import exhaustive
 from boolform.cli import run
 
 # the package re-exports the function complexity() under the module's name
@@ -124,6 +126,16 @@ def test_resource_cap_exit_code(capsys):
                                      "--vars", "8", "--size", "3"])
     assert code == 75
     assert json.loads(err)["error"] == "resource"
+
+
+def test_numeric_exit_code_when_the_dp_total_is_wrong(capsys, monkeypatch):
+    # an int8 DP wraps on catalan (4, 2): its counts sum to -512, not 10240
+    monkeypatch.setattr(exhaustive, "_int_type", lambda bound: np.int8)
+    code, out, err = _capture(capsys, ["distribution", "--model", "catalan",
+                                       "--vars", "2", "--size", "4"])
+    assert code == 70
+    assert out == ""
+    assert json.loads(err)["error"] == "numeric"
 
 
 def test_deterministic_output(capsys):

@@ -1,13 +1,15 @@
 import hashlib
 import importlib
+import sys
+import types
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import boolform
 from boolform import exhaustive
 from boolform.boolfun import BoolFunc, Literal
 from boolform.complexity import (MinimalTreeSet, _sites, complexity,
-                                 complexity_model_independence,
                                  enumerate_expansions, lambda_bounds,
                                  lambda_t_reference, lambda_x_bounds,
                                  probability_vs_bounds)
@@ -20,6 +22,15 @@ X1 = BoolFunc.from_literal(Literal(1, True), 2)
 AND12 = BoolFunc(2, 0b1000)
 XOR = BoolFunc(2, 0b0110)
 MAJ3 = BoolFunc.from_string("n:3:ea")  # x1 | (x2 & x3)
+
+
+def test_complexity_is_the_function_and_the_module_stays_reachable():
+    # bench/workloads.py calls bf.complexity(...) and bench/spans.py reaches
+    # the module with importlib.import_module; both paths are public
+    module = importlib.import_module("boolform.complexity")
+    assert boolform.complexity is module.complexity
+    assert isinstance(module, types.ModuleType)
+    assert module is sys.modules["boolform.complexity"]
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
@@ -52,7 +63,7 @@ def test_minimal_trees_all_compute_f():
 
 
 def test_model_independence_all_sixteen():
-    assert all(complexity_model_independence(BoolFunc(2, t))
+    assert all(len({complexity(BoolFunc(2, t), m).L for m in ModelId}) == 1
                for t in range(16))
 
 
@@ -172,8 +183,9 @@ def test_catalan_sites_are_one_class_per_node_and_connective():
 def test_lambda_t_matches_closed_form():
     for model in ALL_MODELS:
         for f in (X1, AND12):
-            tally = enumerate_expansions(complexity(f, model))
-            ref = lambda_t_reference(f, model)
+            ts = complexity(f, model)
+            tally = enumerate_expansions(ts)
+            ref = lambda_t_reference(ts)
             if ref.restricted:
                 assert tally.lambda_T <= ref.upper
                 continue
@@ -183,8 +195,9 @@ def test_lambda_t_matches_closed_form():
 def test_lambda_x_within_published_bounds():
     for model in (ModelId.CATALAN, ModelId.COMM, ModelId.ASSOC_COMM):
         for f in (X1, AND12, MAJ3):
-            tally = enumerate_expansions(complexity(f, model))
-            b = lambda_x_bounds(f, model)
+            ts = complexity(f, model)
+            tally = enumerate_expansions(ts)
+            b = lambda_x_bounds(ts)
             assert b.lower <= tally.lambda_X <= b.upper, (model, f)
 
 
@@ -203,27 +216,49 @@ def test_expansions_reject_constants():
 
 
 def test_bounds_coincide_for_literals():
-    b = lambda_bounds(X1, ModelId.CATALAN)
+    b = lambda_bounds(complexity(X1, ModelId.CATALAN))
     assert b.lower == b.upper == 5.0 / 16
-    b = lambda_bounds(X1, ModelId.COMM)
+    b = lambda_bounds(complexity(X1, ModelId.COMM))
     assert b.lower == b.upper == 1153.0 / 4096
 
 
 def test_bounds_ordered_for_l_two():
     for model in ALL_MODELS:
-        b = lambda_bounds(AND12, model)
+        b = lambda_bounds(complexity(AND12, model))
         assert b.lower <= b.upper
         assert not b.restricted
 
 
 def test_restricted_flag_for_stratified_literal_bounds():
-    assert lambda_bounds(X1, ModelId.ASSOC).restricted
-    assert lambda_bounds(X1, ModelId.ASSOC_COMM).restricted
-    assert not lambda_bounds(X1, ModelId.CATALAN).restricted
+    assert lambda_bounds(complexity(X1, ModelId.ASSOC)).restricted
+    assert lambda_bounds(complexity(X1, ModelId.ASSOC_COMM)).restricted
+    assert not lambda_bounds(complexity(X1, ModelId.CATALAN)).restricted
+
+
+@pytest.mark.parametrize("bound", [lambda_bounds, lambda_x_bounds,
+                                   lambda_t_reference])
+def test_bounds_reject_constants(bound):
+    ts = complexity(BoolFunc.constant(2, True), ModelId.CATALAN)
+    with pytest.raises(DomainError):
+        bound(ts)
+
+
+def test_bounds_read_the_callers_search(monkeypatch):
+    # the bounds take the minimal trees already found and search no more
+    complexity_module = importlib.import_module("boolform.complexity")
+    ts = complexity(AND12, ModelId.CATALAN)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bounds searched again")
+
+    monkeypatch.setattr(complexity_module, "generate_trees", refuse)
+    monkeypatch.setattr(complexity_module, "complexity", refuse)
+    for bound in (lambda_bounds, lambda_x_bounds, lambda_t_reference):
+        assert bound(ts).lower <= bound(ts).upper
 
 
 def test_catalan_and_bounds_frozen():
-    b = lambda_bounds(AND12, ModelId.CATALAN)
+    b = lambda_bounds(complexity(AND12, ModelId.CATALAN))
     # L=2, M=2, ell=1
     assert b.lower == (8 * 2 - 3 + 1) * 2 / 16.0 ** 2
     assert b.upper == (4 * 4 + 8 - 3) * 2 / 16.0 ** 2

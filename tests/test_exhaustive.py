@@ -9,15 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from boolform import exhaustive
 from boolform.boolfun import BoolFunc, Literal
-from boolform.errors import DomainError, ResourceCapError
+from boolform.errors import DomainError, NumericError, ResourceCapError
 from boolform.exhaustive import (classifier_counts,
                                  classifier_counts_by_generation,
                                  classify_tautologies, count_trees,
                                  distribution, distribution_by_generation,
                                  generate_trees, is_simple_tautology,
-                                 is_simple_x, or_path_literals)
-from boolform.trees import (ModelId, Tree, compute_function, dual_tree,
-                            format_tree, parse_tree)
+                                 or_path_literals)
+from boolform.trees import (ModelId, Tree, compute_function, format_tree,
+                            parse_tree)
 
 ALL_MODELS = list(ModelId)
 
@@ -249,6 +249,21 @@ def test_out_of_range_sizes_raise(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: distribution(ModelId.CATALAN, 4, 2),
+    lambda: classifier_counts(ModelId.CATALAN, "g_x", 4, 2),
+])
+def test_value_dp_overflow_is_numeric_error(monkeypatch, call):
+    # int8 wraps on the 10240 trees of catalan (4, 2): the distribution's
+    # counts sum to -512, so the totals check is what catches a narrow dtype
+    monkeypatch.setattr(exhaustive, "_int_type", lambda bound: np.int8)
+    with pytest.raises(NumericError) as info:
+        call()
+    diagnostics = info.value.diagnostics
+    assert diagnostics["expected"] == count_trees(ModelId.CATALAN, 4, 2) == 10240
+    assert diagnostics["total"] != 10240 and diagnostics["dtype"] == "int8"
+
+
 def test_distribution_frozen_values():
     d = distribution(ModelId.CATALAN, 2, 1)
     assert d.total == 8
@@ -284,17 +299,6 @@ def test_or_path_literals_and_simple_tautology():
     assert is_simple_tautology(t) == {1}
     t2 = parse_tree("(and x1 (or ~x1 x1))", ModelId.CATALAN)
     assert is_simple_tautology(t2) == set()
-
-
-def test_is_simple_x_shapes():
-    t = parse_tree("(and x1 (or x2 ~x2))", ModelId.CATALAN)
-    assert is_simple_x(t) == ("x_T", Literal(1, True))
-    t = parse_tree("(or ~x1 (and x2 ~x2))", ModelId.CATALAN)
-    assert is_simple_x(t) == ("x_T", Literal(1, False))
-    t = parse_tree("(and x1 (or x1 x2))", ModelId.CATALAN)
-    assert is_simple_x(t) == ("x_X", Literal(1, True))
-    t = parse_tree("(and x1 x2)", ModelId.CATALAN)
-    assert is_simple_x(t) is None
 
 
 def test_classify_tautologies_frozen():
@@ -376,13 +380,3 @@ def test_distribution_by_generation_builds_no_tree(monkeypatch, model):
     monkeypatch.setattr(Tree, "__init__", refuse)
     assert (distribution_by_generation(model, 4, 2).counts
             == distribution(model, 4, 2).counts)
-
-
-@pytest.mark.parametrize("model", ALL_MODELS)
-def test_simple_contradiction_matches_dual_tree(model):
-    # t is a simple contradiction iff its dual is a simple tautology
-    for m in range(1, 5):
-        for t in generate_trees(model, m, 2):
-            for _, sub in t.nodes():
-                assert (exhaustive._is_simple_contradiction(sub)
-                        == bool(is_simple_tautology(dual_tree(sub))))

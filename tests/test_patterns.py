@@ -2,6 +2,7 @@ import hashlib
 from collections import Counter
 from functools import lru_cache, partial
 from itertools import count, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +13,8 @@ from boolform.errors import DomainError, ResourceCapError
 from boolform.exhaustive import (_generate, _literals, distribution,
                                  generate_trees, is_simple_tautology)
 from boolform.patterns import (PatternId, _literal_tables, _Shape, _table,
-                               count_restrictions, labelling_count,
-                               labelling_weight, match_pattern,
-                               minimal_embedding, stirling2,
-                               verify_pattern_lemmas)
+                               count_restrictions, match_pattern,
+                               minimal_embedding, verify_pattern_lemmas)
 from boolform.trees import ModelId, Tree, compute_function, parse_tree
 
 ALL_MODELS = list(ModelId)
@@ -164,6 +163,54 @@ def test_s_pattern_on_assoc():
     m = match_pattern(t, PatternId.S)
     # and-node recurses everywhere, or-node keeps its first child
     assert m.pattern_leaves == ((0,), (1, 0))
+
+
+# ---------------------------------------------------------------------------
+# labelling counts: closed forms for the k-restriction labelling count of the
+# asymptotic weight polynomial, checked against brute force
+
+
+@lru_cache(maxsize=None)
+def stirling2(l: int, j: int) -> int:
+    if l < 0 or j < 0:
+        raise DomainError("stirling2 needs l, j >= 0")
+    if l == j == 0:
+        return 1
+    if l == 0 or j == 0 or j > l:
+        return 0
+    return j * stirling2(l - 1, j) + stirling2(l - 1, j - 1)
+
+
+def _falling(a: int, b: int) -> int:
+    out = 1
+    for i in range(b):
+        out *= a - i
+    return out
+
+
+def labelling_weight(v: int, k: int, l: int) -> int:
+    """w_{v,k}(l): the l-dependent part of the k-restriction labelling count."""
+    if min(v, k, l) < 0:
+        raise DomainError("labelling_weight needs v, k, l >= 0")
+    # terms with r > l have no l - r distinct pattern variables
+    return sum(stirling2(l, l - r) * comb(v, k - r) * _falling(l - r, k - r)
+               for r in range(0, min(k, l) + 1))
+
+
+def labelling_count(l: int, k: int, m: int, n: int, v: int,
+                    plane: bool = True) -> int:
+    """Leaf-labellings with k restrictions, essential set prescribed of size v.
+
+    A labelling assigns each leaf a variable and polarity; restrictions are
+    counted as repetitions among the l pattern leaves plus the number of
+    prescribed variables appearing there.  The plane count labels all m
+    leaves; the mobile variant labels the pattern leaves only.
+    """
+    if not (0 <= v <= n and 0 <= l <= m and k >= 0):
+        raise DomainError("need 0 <= v <= n, 0 <= l <= m and k >= 0")
+    # l - k of the distinct pattern variables are unprescribed, for every r
+    ways = labelling_weight(v, k, l) * _falling(n - v, l - k)
+    return ways * (n ** (m - l) * 2 ** m if plane else 2 ** l)
 
 
 def test_stirling_numbers():
