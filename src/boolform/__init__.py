@@ -29,6 +29,7 @@ from .exhaustive import (
     distribution_by_generation,
     generate_trees,
     is_simple_tautology,
+    trees_computing,
 )
 from .series import (
     AUX_KINDS,

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 from .boolfun import BoolFunc, Literal
 from .errors import DomainError
 from .trees import AND, OR, ModelId, Tree, _fold, compute_function
-from .exhaustive import generate_trees
+from .exhaustive import trees_computing
 from . import singular
 
 
@@ -38,15 +38,17 @@ class MinimalTreeSet:
 def complexity(f: BoolFunc, model: ModelId) -> MinimalTreeSet:
     """Search sizes 1, 2, ... until some tree computes f; return them all.
 
-    Every non-constant f has a tree (its DNF), so the search ends, unless
-    generate_trees' cap raises ResourceCapError first: on n = 3 at size 6
+    Each size is searched on truth tables by exhaustive.trees_computing,
+    which builds a Tree only for the trees that compute f, in
+    generate_trees' order.  Every non-constant f has a tree (its DNF), so
+    the search ends, unless the generation cap, charged as generate_trees
+    charges it, raises ResourceCapError first: on n = 3 at size 6
     (catalan), 7 (assoc, comm) or 8 (assoccomm), no later on more variables.
     """
     if f.is_constant():
         return MinimalTreeSet(f, model, 0, [])
     for m in itertools.count(1):
-        found = [t for t in generate_trees(model, m, f.n)
-                 if compute_function(t, f.n) == f]
+        found = trees_computing(model, m, f)
         if found:
             return MinimalTreeSet(f, model, m, found)
 
@@ -236,8 +238,11 @@ def probability_vs_bounds(
     When the limit falls outside the bounds, `reason` names the missed
     bound and the gap.
     """
-    if not n_grid or min(n_grid) < 1:
-        raise DomainError("n_grid needs at least one value, each >= 1")
+    # an estimate at n counts trees on x1..xn, so f must depend on none past n
+    least = max(f.essential_vars(), default=1)
+    if not n_grid or min(n_grid) < least:
+        raise DomainError("n_grid needs at least one value, each >= %d: at "
+                          "least 1 and every variable f depends on" % least)
     ts = complexity(f, model)
     tally = enumerate_expansions(ts)
     bounds = _published(model, ts.L, ts.M)[0]

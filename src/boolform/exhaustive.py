@@ -9,7 +9,9 @@ count_trees only for the cap, for range checks and to size and check the
 DP's integers.
 The generator builds each subtree once per call and keeps the lists of the
 trees smaller than the ones it streams; its cap counts both.  Its leaves and
-node builder make Trees, or truth tables for distribution_by_generation.
+node builder make Trees (generate_trees), truth tables
+(distribution_by_generation), or (table, conn, kids) triples from which
+trees_computing builds a Tree only for the trees that compute a given f.
 
 All three routes follow one grammar for all four models, each in its own
 code.  A connective node takes its children from one pool (any tree if
@@ -115,8 +117,9 @@ def _literals(n: int) -> list[Literal]:
 
 # The generator lists a multiset of children in non-decreasing (size, index)
 # order.  It takes the leaf alphabet and a builder node(conn, kids), so it
-# yields labelled trees, their truth tables (distribution_by_generation) and
-# the connective shapes of patterns.verify_pattern_lemmas (one-symbol alphabet).
+# yields labelled trees, their truth tables (distribution_by_generation),
+# (table, conn, kids) triples (trees_computing) and the connective shapes of
+# patterns.verify_pattern_lemmas (one-symbol alphabet).
 Node = Callable[[str, Sequence], object]
 
 
@@ -185,6 +188,30 @@ def generate_trees(model: ModelId, m: int, n: int) -> Iterator[Tree]:
     leaves = [Tree.leaf(lit, model) for lit in _literals(n)]
     return _generate(model, m, leaves,
                      lambda conn, kids: Tree.internal(conn, kids, model))
+
+
+def trees_computing(model: ModelId, m: int, f: BoolFunc) -> list[Tree]:
+    """The trees of size m that compute f on f.n variables, in
+    generate_trees' order, under the same cap.
+
+    The generator runs on (table, conn, kids) triples, a leaf's being
+    (table, None, literal), with each table folded by compute_function's
+    fold; only a triple whose table is f's becomes a Tree."""
+    _check_cap(model, m, f.n)
+    leaves = [(BoolFunc.from_literal(lit, f.n).table, None, lit)
+              for lit in _literals(f.n)]
+
+    def node(conn: str, kids: Sequence) -> tuple:
+        return _fold(conn, [kid[0] for kid in kids]), conn, kids
+
+    def build(item: tuple) -> Tree:
+        _, conn, kids = item
+        if conn is None:
+            return Tree.leaf(kids, model)
+        return Tree.internal(conn, [build(kid) for kid in kids], model)
+
+    return [build(item) for item in _generate(model, m, leaves, node)
+            if item[0] == f.table]
 
 
 # ---------------------------------------------------------------------------

@@ -153,8 +153,8 @@ def canonicalize(raw: RawTree, model: ModelId) -> Tree:
 
 @lru_cache(maxsize=1)
 def _positive_tables(n: int) -> tuple[int, ...]:
-    # x1..xn, kept for the one n (f.n) that complexity's search and its
-    # expansions both use; one n = 24 entry holds 48 MB
+    # x1..xn, kept for the one n (f.n) at which complexity's expansions
+    # compute every minimal tree; one n = 24 entry holds 48 MB
     return tuple(BoolFunc.from_literal(Literal(v), n).table for v in range(1, n + 1))
 
 

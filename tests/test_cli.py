@@ -113,6 +113,8 @@ def test_missing_flag_is_usage_error(capsys):
     ["ratio", "--model", "catalan", "--vars", "1", "--order", "0"],
     ["constants-table", "--n-grid", "5,5,5"],
     ["complexity", "--model", "catalan", "--fn", "n:3:ea", "--estimate-n", "0"],
+    # x1 & x2 has no tree on x1 alone
+    ["complexity", "--model", "catalan", "--fn", "n:2:8", "--estimate-n", "1"],
 ])
 def test_out_of_range_vars_or_order_is_usage_error(capsys, argv):
     code, out, err = _capture(capsys, argv)

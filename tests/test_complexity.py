@@ -14,6 +14,7 @@ from boolform.complexity import (MinimalTreeSet, _sites, complexity,
                                  lambda_t_reference, lambda_x_bounds,
                                  probability_vs_bounds)
 from boolform.errors import DomainError, ResourceCapError
+from boolform.exhaustive import distribution, generate_trees
 from boolform.trees import (AND, OR, ModelId, Tree, compute_function,
                             format_tree, opposite, parse_tree)
 
@@ -65,6 +66,45 @@ def test_minimal_trees_all_compute_f():
 def test_model_independence_all_sixteen():
     assert all(len({complexity(BoolFunc(2, t), m).L for m in ModelId}) == 1
                for t in range(16))
+
+
+ORACLE_FUNCTIONS = ([BoolFunc.from_string("n:1:2")]
+                    + [BoolFunc(2, t) for t in range(1, 15)]
+                    + [BoolFunc.from_string("n:3:" + h)
+                       for h in ("ea", "80", "a8", "8a", "fe")])
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_search_on_tables_matches_generate_and_test(model):
+    # generate-and-test builds every tree and computes its function: the
+    # search on truth tables must find the same trees, in the same order
+    def computing(f, m):
+        return [t for t in generate_trees(model, m, f.n)
+                if compute_function(t, f.n) == f]
+
+    for f in ORACLE_FUNCTIONS:
+        ts = complexity(f, model)
+        assert ts.trees == computing(f, ts.L), f
+        assert not any(computing(f, m) for m in range(1, ts.L)), f
+        assert ts.M == distribution(model, ts.L, f.n).counts[f], f
+
+
+def test_search_builds_trees_only_for_matches(monkeypatch):
+    # generate-and-test built every internal node of every tree it listed
+    # or tested, 11,360 for XOR in catalan; a binary tree computing f has
+    # L - 1 of them
+    calls = 0
+    internal = Tree.internal
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return internal(*args, **kwargs)
+
+    monkeypatch.setattr(Tree, "internal", staticmethod(counted))
+    ts = complexity(XOR, ModelId.CATALAN)
+    assert (ts.L, ts.M) == (4, 16)
+    assert calls <= ts.M * (ts.L - 1)
 
 
 def test_generation_cap_ends_the_search(monkeypatch):
@@ -251,7 +291,7 @@ def test_bounds_read_the_callers_search(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the bounds searched again")
 
-    monkeypatch.setattr(complexity_module, "generate_trees", refuse)
+    monkeypatch.setattr(complexity_module, "trees_computing", refuse)
     monkeypatch.setattr(complexity_module, "complexity", refuse)
     for bound in (lambda_bounds, lambda_x_bounds, lambda_t_reference):
         assert bound(ts).lower <= bound(ts).upper
@@ -278,9 +318,18 @@ def test_probability_vs_bounds_checks_the_grid_before_searching(monkeypatch):
     # boolform.complexity is the function; the module is imported by name
     monkeypatch.setattr(importlib.import_module("boolform.complexity"),
                         "complexity", refuse)
-    for grid in ((0,), (100, -1)):
+    # AND12 depends on x2 and MAJ3 on x3: an estimate at fewer variables
+    # counted trees that cannot compute f
+    for f, grid in ((AND12, (0,)), (AND12, (100, -1)), (AND12, (1,)),
+                    (MAJ3, (100, 2))):
         with pytest.raises(DomainError, match="n_grid"):
-            probability_vs_bounds(AND12, ModelId.CATALAN, n_grid=grid)
+            probability_vs_bounds(f, ModelId.CATALAN, n_grid=grid)
+
+
+def test_probability_vs_bounds_reads_the_variables_f_depends_on():
+    # X1 is given on two variables but depends on x1 alone
+    rep = probability_vs_bounds(X1, ModelId.CATALAN, n_grid=(1,))
+    assert rep["L"] == 1 and rep["grid"][0]["n"] == 1
 
 
 def test_probability_vs_bounds_internal_consistency():
