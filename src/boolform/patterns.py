@@ -18,34 +18,41 @@ verify_pattern_lemmas checks the three structural facts used throughout
 the asymptotic analysis, by exhausting connective-labelled shapes (the
 tree generator of boolform.exhaustive run over a one-symbol leaf
 alphabet) and vectorizing over all leaf labellings with numpy.  A shape's
-labellings are the product of its children's, so its truth table under
-every labelling is an outer product of its children's tables.  The
-generator builds one record per shape from its children's records, which
-hold their tables and masks for as long as the generator lists them.
+labellings are the product of its children's, so its histogram (the
+number of its labellings that compute each truth table) folds from its
+children's, and its truth table under every labelling is an outer product
+of its children's tables.  Tautologies are counted from the children's
+histograms and lemmas (c) and (s) read single table entries, so a shape's
+whole table is built only where lemmas (a) and (b) index its tautologies.
+The generator builds one record per shape from its children's records,
+which hold their tables, histograms and masks for as long as the
+generator lists them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .boolfun import BoolFunc
 from .errors import DomainError, ResourceCapError
 from .exhaustive import _generate, _literals, count_trees
-from .trees import AND, OR, ModelId, Tree, compute_function
+from .trees import AND, OR, ModelId, Tree, _fold, compute_function
 
 EMBEDDING_CAP = 1_000_000
 # leaf labellings verify_pattern_lemmas may check: catalan (7, 2) has 1.44e8
-# (0.2-0.4 s on a 2-core x86-64 host), (8, 2) 3.74e9 (2.1-2.3 s, 46 MB).  A
-# shape's table takes a byte per labelling, 16 KB at size 7 and n = 2, and
-# the records the generator lists keep those of up to m - 2 leaves: 0.24 MB
-# at catalan (7, 2) and at most 2.5 MB under the cap, but 5.8 MB at (8, 2)
-# and 3.7 GB at (10, 2).  Most tautologies are only counted: l depth-2
-# pattern leaves repeat at least l - n times, so only the shapes with a mask
-# of at most n + 1 leaves index theirs (173 of 10,067 at catalan (7, 2))
+# (0.15-0.24 s on a 2-core x86-64 host), (8, 2) 3.74e9 (1.0-1.2 s, 49 MB).
+# The records the generator lists keep their tables, a byte per labelling,
+# up to m - 2 leaves: 0.24 MB at catalan (7, 2) and at most 2.5 MB under
+# the cap, but 5.8 MB at (8, 2) and 3.7 GB at (10, 2).  Each also keeps its
+# histogram, 2^(2^n) counts: 0.4 MB in all at catalan (7, 2), 10 MB at
+# (9, 1).  A root's own table, 16 KB at size 7 and n = 2, is built only
+# where lemmas (a) and (b) index its tautologies: l depth-2 pattern leaves
+# repeat at least l - n times, so only the shapes with a tautology and a
+# mask of at most n + 1 leaves need it (173 of 10,067 at catalan (7, 2))
 LEMMA_CAP = 1 << 28
 
 
@@ -89,14 +96,17 @@ class _Shape:
     """A connective-labelled shape, built from its children's records: bit i
     of a mask is its i-th leaf in preorder, offsets[j] is child j's first
     leaf, orp masks the leaves joined to the root by or-only paths, table is
-    its truth tables under all labellings when kept (width <= keep), and
-    masks caches its pattern-leaf masks per (connective, level).  A leaf has
-    no kids and is given its table."""
+    its truth tables under all labellings when kept (width <= keep), hist
+    the number of its labellings per truth table once _hist has filled it,
+    and masks caches its pattern-leaf masks per (connective, level).  A leaf
+    has no kids and is given its table."""
 
-    __slots__ = ("conn", "kids", "width", "offsets", "orp", "table", "masks")
+    __slots__ = ("conn", "kids", "width", "offsets", "orp", "table", "hist",
+                 "masks")
 
     def __init__(self, conn, kids, keep: int = 0, table=None):
         self.conn, self.kids, self.table, self.masks = conn, kids, table, {}
+        self.hist = None
         self.width, self.orp, self.offsets = 1, 1, []
         if kids:
             pos = orp = 0
@@ -125,9 +135,11 @@ def _cands(s: _Shape, every: str, k: int, free: bool) -> list:
     every is _every(pattern).  k is the number of additional pattern levels
     plugged into placeholders (depth = k+1); a subtree reached with k < 0 is
     a placeholder.  With free False the first child continues (the
-    deterministic plane reading); otherwise every child may.  Each child is
-    decomposed only in the roles it can take, and its masks are shifted to
-    its first leaf.  The cache on s serves callers with one value of free.
+    deterministic plane reading); otherwise every child may.  For each
+    continuing child the children are walked once, that one at level k and
+    the others one level lower (at k too under an every-node), and their
+    masks are shifted to their first leaves.  The cache on s serves callers
+    with one value of free.
     """
     if k < 0 or not s.kids:
         return [int(k >= 0)]
@@ -135,21 +147,13 @@ def _cands(s: _Shape, every: str, k: int, free: bool) -> list:
     if got is not None:
         return got
     all_kids = s.conn == every
-    keeps = range(len(s.kids)) if free and not all_kids else (0,)
-    cont, rest = {}, {}
-    for i, (c, pos) in enumerate(zip(s.kids, s.offsets)):
-        if i in keeps:
-            cont[i] = [x << pos for x in _cands(c, every, k, free)]
-        if i > 0 or len(keeps) > 1:
-            # a child that is not kept continues too, or is one level lower
-            sub = _cands(c, every, k if all_kids else k - 1, free)
-            rest[i] = [x << pos for x in sub]
+    lower = k if all_kids else k - 1
     out = []
-    for keep in keeps:
-        acc = cont[keep]
-        for i, sub in rest.items():
-            if i != keep:
-                acc = [a | x for a in acc for x in sub]
+    for keep in range(len(s.kids)) if free and not all_kids else (0,):
+        acc = [0]
+        for i, (c, pos) in enumerate(zip(s.kids, s.offsets)):
+            acc = [a | x << pos for a in acc
+                   for x in _cands(c, every, k if i == keep else lower, free)]
         out.extend(acc)
     got = s.masks[(every, k)] = sorted(set(out))
     return got
@@ -260,6 +264,59 @@ def _table(s: _Shape) -> np.ndarray:
     return acc
 
 
+def _at(s: _Shape, code: int, n: int) -> int:
+    """_table(s)[code], folded from the children's entries: a code spends n
+    bits per leaf, as 2n is 2 or 4, and child j's are those from its first
+    leaf on."""
+    if s.table is not None:
+        return s.table.item(code)
+    return _fold(s.conn, [_at(c, (code >> n * pos) & ((1 << n * c.width) - 1), n)
+                          for c, pos in zip(s.kids, s.offsets)])
+
+
+@lru_cache(maxsize=None)
+def _fold_matrices(conn: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For a conn-node over the v = 2^(2^n) truth tables: the (v^2, v)
+    one-hot matrix taking the pair (x, y) of tables, at row x v + y, to
+    op(x, y), and the (v, v) matrix of [op(x, y) is True]."""
+    v = 1 << (1 << n)
+    x, y = np.divmod(np.arange(v * v), v)
+    onehot = np.zeros((v * v, v), dtype=np.int64)
+    onehot[np.arange(v * v), x & y if conn == AND else x | y] = 1
+    true = onehot[:, v - 1].reshape(v, v).copy()
+    onehot.setflags(write=False)
+    true.setflags(write=False)
+    return onehot, true
+
+
+def _folded(conn: str, kids, n: int) -> np.ndarray:
+    """Histogram of a conn-node over kids: the outer product of the
+    histograms so far and the next child's, summed by the table it gives."""
+    acc = _hist(kids[0], n)
+    for c in kids[1:]:
+        acc = np.outer(acc, _hist(c, n)).ravel() @ _fold_matrices(conn, n)[0]
+    return acc
+
+
+def _hist(s: _Shape, n: int) -> np.ndarray:
+    """Number of a shape's labellings that compute each truth table, kept on
+    its record: counted in its kept table, or folded from its children's."""
+    if s.hist is None:
+        s.hist = (np.bincount(s.table, minlength=1 << (1 << n))
+                  if s.table is not None else _folded(s.conn, s.kids, n))
+    return s.hist
+
+
+def _tautologies(s: _Shape, n: int) -> int:
+    """Number of a shape's labellings that compute True, h [op is True] h',
+    h the histogram of its children but the last and h' the last child's;
+    its own table and histogram are not built."""
+    if not s.kids:
+        return int(_hist(s, n)[-1])
+    return int(_folded(s.conn, s.kids[:-1], n).dot(_fold_matrices(s.conn, n)[1])
+               .dot(_hist(s.kids[-1], n)))
+
+
 @dataclass
 class LemmaReport:
     """Outcome of verify_pattern_lemmas.
@@ -316,9 +373,10 @@ def verify_pattern_lemmas(model: ModelId, m: int, n: int) -> LemmaReport:
     for mask in range(1 << nlits):
         simple_lut[mask] = any((mask >> (2 * v)) & 1 and (mask >> (2 * v + 1)) & 1
                                for v in range(n))
-    # tables of shapes up to m - 2 leaves are kept; a size-(m - 1) sub-shape
-    # is rebuilt from its kept children, as keeping its table would cost
-    # (2n)^(m - 1) bytes per shape (5.5 MB in all at catalan (7, 2))
+    # tables of shapes up to m - 2 leaves are kept; a size-(m - 1) sub-shape's
+    # entries and histogram are folded from its kept children's, as keeping
+    # its table would cost (2n)^(m - 1) bytes per shape (5.5 MB in all at
+    # catalan (7, 2))
     leaf = _Shape(None, (), table=_literal_tables(n))
     build = partial(_Shape, keep=m - 2)
     report = LemmaReport(model, m, n, 0)
@@ -331,31 +389,31 @@ def verify_pattern_lemmas(model: ModelId, m: int, n: int) -> LemmaReport:
                   for mask in range(1 << size)]
         all_leaves = (1 << size) - 1
         for shape in _generate(model, size, (leaf,), build):
-            root = _table(shape)
             report.trees_checked += nlits ** size
             # (c) and (s) put ~x1 on the leaves set False, x1 on the others,
             # and read the table at x1 = 1, its bit 1.  N and R recurse into
             # every child of an or-node, S of an and-node
             for cmask in _cands(shape, OR, 0, free):
-                if root[spread[cmask]] & 2:
+                if _at(shape, spread[cmask], n) & 2:
                     report.counterexamples.append(
                         ("all-pattern-leaves-false", shape.nested(), cmask))
             if model.stratified:
                 for cmask in _cands(shape, AND, 0, free):
-                    if not root[spread[all_leaves ^ cmask]] & 2:
+                    if not _at(shape, spread[all_leaves ^ cmask], n) & 2:
                         report.counterexamples.append(
                             ("all-s-leaves-true", shape.nested(), cmask))
-            is_taut = root == full
-            count = int(np.count_nonzero(is_taut))
+            count = _tautologies(shape, n)
+            if not count:
+                continue
             report.tautologies += count
             # minimal depth-2 restriction count; tautologies have no
             # essential variables, so restrictions = repetitions.  l pattern
             # leaves repeat at least l - n times, so only masks of at most
             # n + 1 leaves can bring the minimum below 2
             near = [c for c in _cands(shape, OR, 1, free) if c.bit_count() <= n + 1]
-            if not near or not count:
+            if not near:
                 continue
-            taut = is_taut.nonzero()[0]
+            taut = np.flatnonzero(_table(shape) == full)
             # the (at least one) pattern leaves have two distinct variables
             # when their variable bits v are neither all clear nor all set
             min_reps = None

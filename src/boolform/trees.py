@@ -160,6 +160,9 @@ def _positive_tables(n: int) -> tuple[int, ...]:
 
 def _fold(conn: str, values) -> int:
     """Truth table of a conn-node, from its children's truth tables."""
+    if type(values) in (tuple, list) and len(values) == 2:
+        a, b = values
+        return a & b if conn == AND else a | b
     return reduce(and_ if conn == AND else or_, values)
 
 

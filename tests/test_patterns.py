@@ -4,6 +4,7 @@ from functools import lru_cache, partial
 from itertools import count, product
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,9 +13,10 @@ from boolform.boolfun import BoolFunc
 from boolform.errors import DomainError, ResourceCapError
 from boolform.exhaustive import (_generate, _literals, distribution,
                                  generate_trees, is_simple_tautology)
-from boolform.patterns import (PatternId, _literal_tables, _Shape, _table,
-                               count_restrictions, match_pattern,
-                               minimal_embedding, verify_pattern_lemmas)
+from boolform.patterns import (PatternId, _at, _hist, _literal_tables, _Shape,
+                               _table, _tautologies, count_restrictions,
+                               match_pattern, minimal_embedding,
+                               verify_pattern_lemmas)
 from boolform.trees import ModelId, Tree, compute_function, parse_tree
 
 ALL_MODELS = list(ModelId)
@@ -354,6 +356,47 @@ def test_shape_table_entry_is_the_labelled_trees_function(model, size, n, data):
     table = _table(shape)
     tree = _labelled(shape.nested(), code, n, model)
     assert int(table[code]) == compute_function(tree, n).table
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ALL_MODELS), st.integers(1, 6), st.sampled_from([1, 2]),
+       st.data())
+def test_histograms_and_point_reads_match_the_shape_table(model, size, n, data):
+    # the verifier counts tautologies from the children's histograms and
+    # reads lemma (c) and (s) entries one at a time, building no root table
+    shapes = _records(model, size, n)
+    shape = shapes[data.draw(st.integers(0, len(shapes) - 1))]
+    code = data.draw(st.integers(0, (2 * n) ** size - 1))
+    table = _table(shape)
+    full = (1 << (1 << n)) - 1
+    assert _tautologies(shape, n) == np.count_nonzero(table == full)
+    assert _at(shape, code, n) == table[code]
+    assert np.array_equal(_hist(shape, n), np.bincount(table, minlength=full + 1))
+
+
+def test_lemma_check_builds_root_tables_only_for_lemmas_a_and_b(monkeypatch):
+    # a root's table is built only where lemmas (a) and (b) index its
+    # tautologies: it has one and a depth-2 mask of at most n + 1 leaves,
+    # 173 of the 10,067 catalan shapes up to size 7
+    real_generate, real_table = patterns._generate, patterns._table
+    root, checked, built = None, 0, []
+
+    def generate(*args):
+        nonlocal root, checked
+        for shape in real_generate(*args):
+            root, checked = shape, checked + 1
+            yield shape
+            root = None  # the next shape's record is built meanwhile
+
+    def table(s):
+        if s is root:
+            built.append(s.nested())
+        return real_table(s)
+    monkeypatch.setattr(patterns, "_generate", generate)
+    monkeypatch.setattr(patterns, "_table", table)
+    rep = verify_pattern_lemmas(ModelId.CATALAN, 7, 2)
+    assert rep.ok and checked == 10_067
+    assert len(built) <= 173, len(built)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
