@@ -4,8 +4,9 @@ A pattern decomposes a tree into pattern leaves and placeholder subtrees.
 One decomposition, _cands, serves labelled trees and the unlabelled shapes
 of the lemma verifier alike: it works on a shape's record (_Shape) and
 returns its pattern leaves as bitmasks (bit i is the i-th leaf in
-preorder).  The placeholders of a tree are the largest subtrees that hold
-no pattern leaf.
+preorder), each with the value the shape computes when they are set False
+and the other leaves True (the dual for S).  The placeholders of a tree
+are the largest subtrees that hold no pattern leaf.
 Matching is deterministic on plane trees; on non-plane trees every child
 ordering induces an embedding and minimal_embedding searches them all.
 
@@ -21,38 +22,42 @@ alphabet) and vectorizing over all leaf labellings with numpy.  A shape's
 labellings are the product of its children's, so its histogram (the
 number of its labellings that compute each truth table) folds from its
 children's, and its truth table under every labelling is an outer product
-of its children's tables.  Tautologies are counted from the children's
-histograms and lemmas (c) and (s) read single table entries, so a shape's
-whole table is built only where lemmas (a) and (b) index its tautologies.
-The generator builds one record per shape from its children's records,
-which hold their tables, histograms and masks for as long as the
-generator lists them.
+of its children's tables.  The generator runs once, at size m, and builds
+one record per shape from its children's records; the smaller shapes it
+lists to build the larger ones are checked as they are built, so each
+shape is decomposed once and its masks and histogram serve its parents.
+Tautologies are counted from histograms, lemmas (c) and (s) read the
+values that come with the masks, and depth-2 masks are listed only for
+shapes whose fewest pattern leaves (_least) could bring a restriction
+count below 2, so a shape's whole table is built only where lemmas (a)
+and (b) index its tautologies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
 from .boolfun import BoolFunc
 from .errors import DomainError, ResourceCapError
 from .exhaustive import _generate, _literals, count_trees
-from .trees import AND, OR, ModelId, Tree, _fold, compute_function
+from .trees import AND, OR, ModelId, Tree, compute_function
 
 EMBEDDING_CAP = 1_000_000
 # leaf labellings verify_pattern_lemmas may check: catalan (7, 2) has 1.44e8
-# (0.15-0.24 s on a 2-core x86-64 host), (8, 2) 3.74e9 (1.0-1.2 s, 49 MB).
+# (0.08-0.13 s on a 2-core x86-64 host), (8, 2) 3.74e9 (0.53-0.62 s, 49 MB).
 # The records the generator lists keep their tables, a byte per labelling,
 # up to m - 2 leaves: 0.24 MB at catalan (7, 2) and at most 2.5 MB under
 # the cap, but 5.8 MB at (8, 2) and 3.7 GB at (10, 2).  Each also keeps its
 # histogram, 2^(2^n) counts: 0.4 MB in all at catalan (7, 2), 10 MB at
-# (9, 1).  A root's own table, 16 KB at size 7 and n = 2, is built only
-# where lemmas (a) and (b) index its tautologies: l depth-2 pattern leaves
-# repeat at least l - n times, so only the shapes with a tautology and a
-# mask of at most n + 1 leaves need it (173 of 10,067 at catalan (7, 2))
+# (9, 1), and its masks with their values.  A shape's whole table, 16 KB at
+# size 7 and n = 2, is read only where lemmas (a) and (b) index its
+# tautologies: l depth-2 pattern leaves repeat at least l - n times, so only
+# the shapes with a tautology and a mask of at most n + 1 leaves need it
+# (173 of 10,067 at catalan (7, 2))
 LEMMA_CAP = 1 << 28
 
 
@@ -98,14 +103,15 @@ class _Shape:
     leaf, orp masks the leaves joined to the root by or-only paths, table is
     its truth tables under all labellings when kept (width <= keep), hist
     the number of its labellings per truth table once _hist has filled it,
-    and masks caches its pattern-leaf masks per (connective, level).  A leaf
-    has no kids and is given its table."""
+    and memo caches the (mask, value) pairs of _cands and their fewest
+    pattern leaves (_least) per (connective, level).  A leaf has no kids and
+    is given its table."""
 
     __slots__ = ("conn", "kids", "width", "offsets", "orp", "table", "hist",
-                 "masks")
+                 "memo")
 
     def __init__(self, conn, kids, keep: int = 0, table=None):
-        self.conn, self.kids, self.table, self.masks = conn, kids, table, {}
+        self.conn, self.kids, self.table, self.memo = conn, kids, table, {}
         self.hist = None
         self.width, self.orp, self.offsets = 1, 1, []
         if kids:
@@ -130,7 +136,11 @@ def _built(t: Tree, leaf: _Shape) -> _Shape:
 
 
 def _cands(s: _Shape, every: str, k: int, free: bool) -> list:
-    """Sorted pattern-leaf bitmasks of a shape, bit 0 its first leaf.
+    """Sorted (mask, value) pairs of a shape's pattern leaves, bit 0 of a
+    mask its first leaf.  value is what the shape computes with the mask's
+    leaves False and the others True (every = OR), or with them True and
+    the others False (every = AND): a placeholder is (0, every == OR), a
+    pattern leaf (1, every == AND), and a node folds its children's values.
 
     every is _every(pattern).  k is the number of additional pattern levels
     plugged into placeholders (depth = k+1); a subtree reached with k < 0 is
@@ -141,21 +151,51 @@ def _cands(s: _Shape, every: str, k: int, free: bool) -> list:
     masks are shifted to their first leaves.  The cache on s serves callers
     with one value of free.
     """
-    if k < 0 or not s.kids:
-        return [int(k >= 0)]
-    got = s.masks.get((every, k))
+    if k < 0:
+        return [(0, every == OR)]
+    if not s.kids:
+        return [(1, every == AND)]
+    key = ("cands", every, k)
+    got = s.memo.get(key)
     if got is not None:
         return got
     all_kids = s.conn == every
     lower = k if all_kids else k - 1
+    conj = s.conn == AND
     out = []
     for keep in range(len(s.kids)) if free and not all_kids else (0,):
-        acc = [0]
-        for i, (c, pos) in enumerate(zip(s.kids, s.offsets)):
-            acc = [a | x << pos for a in acc
-                   for x in _cands(c, every, k if i == keep else lower, free)]
+        acc = _cands(s.kids[0], every, k if keep == 0 else lower, free)
+        for i in range(1, len(s.kids)):
+            pos = s.offsets[i]
+            sub = _cands(s.kids[i], every, k if i == keep else lower, free)
+            if conj:
+                acc = [(a | x << pos, u & v) for a, u in acc for x, v in sub]
+            else:
+                acc = [(a | x << pos, u | v) for a, u in acc for x, v in sub]
         out.extend(acc)
-    got = s.masks[(every, k)] = sorted(set(out))
+    got = s.memo[key] = sorted(set(out))
+    return got
+
+
+def _least(s: _Shape, every: str, k: int, free: bool) -> int:
+    """The fewest pattern leaves of a mask of _cands(s, every, k, free), by
+    the same recursion in min-plus form: a continuing child's masks combine
+    with every choice of the others', so the fewest add up."""
+    if k < 0:
+        return 0
+    if not s.kids:
+        return 1
+    key = ("least", every, k)
+    got = s.memo.get(key)
+    if got is not None:
+        return got
+    if s.conn == every:
+        got = sum(_least(c, every, k, free) for c in s.kids)
+    else:
+        low = [_least(c, every, k - 1, free) for c in s.kids]
+        got = sum(low) + min(_least(c, every, k, free) - least
+                             for c, least in zip(s.kids if free else s.kids[:1], low))
+    s.memo[key] = got
     return got
 
 
@@ -181,7 +221,8 @@ def _masks(t: Tree, p: PatternId, depth: int, free: bool) -> list:
                 total *= len(node.children)
                 if total > EMBEDDING_CAP:
                     raise ResourceCapError("embedding search over %d orderings" % total)
-    return _cands(_built(t, _Shape(None, ())), every, depth - 1, free)
+    return [mask for mask, _ in
+            _cands(_built(t, _Shape(None, ())), every, depth - 1, free)]
 
 
 def _minimal(t: Tree, masks: list) -> tuple[int, tuple[int, int, set]]:
@@ -264,16 +305,6 @@ def _table(s: _Shape) -> np.ndarray:
     return acc
 
 
-def _at(s: _Shape, code: int, n: int) -> int:
-    """_table(s)[code], folded from the children's entries: a code spends n
-    bits per leaf, as 2n is 2 or 4, and child j's are those from its first
-    leaf on."""
-    if s.table is not None:
-        return s.table.item(code)
-    return _fold(s.conn, [_at(c, (code >> n * pos) & ((1 << n * c.width) - 1), n)
-                          for c, pos in zip(s.kids, s.offsets)])
-
-
 @lru_cache(maxsize=None)
 def _fold_matrices(conn: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     """For a conn-node over the v = 2^(2^n) truth tables: the (v^2, v)
@@ -341,6 +372,77 @@ class LemmaReport:
         return not self.counterexamples
 
 
+class _LemmaCheck:
+    """The checks of one verify_pattern_lemmas call.  check(shape, count)
+    checks a shape under all its labellings, count of which compute True,
+    and files its counterexamples under (size, or-rooted), so that they
+    can be listed by size and then in generation order, whatever order the
+    shapes are checked in."""
+
+    def __init__(self, model: ModelId, m: int, n: int):
+        self.report = LemmaReport(model, m, n, 0)
+        self.free, self.stratified = not model.plane, model.stratified
+        self.found = {}
+        nlits = 2 * n
+        # simple-tautology LUT over literal-presence masks (bit 2v+neg)
+        self.simple_lut = np.zeros(1 << nlits, dtype=bool)
+        for mask in range(1 << nlits):
+            self.simple_lut[mask] = any(
+                (mask >> (2 * v)) & 1 and (mask >> (2 * v + 1)) & 1 for v in range(n))
+        # the code bits that hold the variables of a mask's leaves: a code
+        # spends n bits per leaf, and for n = 2 leaf i's variable is bit
+        # 2i + 1; n = 1 has none
+        self.varbits = [0]
+        for i in range(m):
+            self.varbits += [v | 2 * (n - 1) * nlits ** i for v in self.varbits]
+
+    def check(self, shape: _Shape, count: int) -> None:
+        report, free, n = self.report, self.free, self.report.n
+        nlits = 2 * n
+        report.trees_checked += nlits ** shape.width
+        found = self.found.setdefault((shape.width, shape.conn == OR), [])
+        # (c) reads the shape's value with its depth-1 pattern leaves False
+        # and the others True, (s) with its S-pattern leaves True and the
+        # others False.  N and R recurse into every child of an or-node, S
+        # of an and-node
+        for cmask, true in _cands(shape, OR, 0, free):
+            if true:
+                found.append(("all-pattern-leaves-false", shape.nested(), cmask))
+        if self.stratified:
+            for cmask, true in _cands(shape, AND, 0, free):
+                if not true:
+                    found.append(("all-s-leaves-true", shape.nested(), cmask))
+        if not count:
+            return
+        report.tautologies += count
+        # minimal depth-2 restriction count; tautologies have no essential
+        # variables, so restrictions = repetitions.  l pattern leaves repeat
+        # at least l - n times, so only masks of at most n + 1 leaves can
+        # bring the minimum below 2
+        if _least(shape, OR, 1, free) > n + 1:
+            return
+        near = [c for c, _ in _cands(shape, OR, 1, free) if c.bit_count() <= n + 1]
+        taut = np.flatnonzero(_table(shape) == (1 << (1 << n)) - 1)
+        # the (at least one) pattern leaves have two distinct variables
+        # when their variable bits v are neither all clear nor all set
+        min_reps = None
+        for cmask in near:
+            vm = self.varbits[cmask]
+            v = taut & vm
+            reps = cmask.bit_count() - 1 - ((v != 0) & (v != vm))
+            min_reps = reps if min_reps is None else np.minimum(min_reps, reps)
+        for code in taut[min_reps < 1][:5]:
+            found.append(("tautology-without-restriction", shape.nested(), int(code)))
+        ones = taut[min_reps == 1]
+        if len(ones):
+            lmask = np.zeros(len(ones), dtype=np.int64)
+            for i in range(shape.width):
+                if (shape.orp >> i) & 1:
+                    lmask |= 1 << ((ones >> (n * i)) & (nlits - 1))
+            for code in ones[~self.simple_lut[lmask]][:5]:
+                found.append(("one-restriction-not-simple", shape.nested(), int(code)))
+
+
 def verify_pattern_lemmas(model: ModelId, m: int, n: int) -> LemmaReport:
     """Exhaustive check of the pattern lemmas on all trees up to size m.
 
@@ -353,6 +455,9 @@ def verify_pattern_lemmas(model: ModelId, m: int, n: int) -> LemmaReport:
     Every connective-labelled shape is checked under all (2n)^size leaf
     labellings; the report's trees_checked is that number of labellings,
     which exceeds the number of distinct trees for the non-plane models.
+    One generation of size m builds every shape: the shapes below size m,
+    which it lists to build the larger ones, are checked as they are built,
+    and the size-m roots as they are yielded.
     """
     if m < 1 or n < 1:
         raise DomainError("m and n must be >= 1")
@@ -365,73 +470,25 @@ def verify_pattern_lemmas(model: ModelId, m: int, n: int) -> LemmaReport:
     if total > LEMMA_CAP:
         raise ResourceCapError(
             "lemma check of %d labellings exceeds cap %d" % (total, LEMMA_CAP))
-    free = not model.plane
-    nlits = 2 * n
-    full = (1 << (1 << n)) - 1
-    # simple-tautology LUT over literal-presence masks (bit 2v+neg)
-    simple_lut = np.zeros(1 << nlits, dtype=bool)
-    for mask in range(1 << nlits):
-        simple_lut[mask] = any((mask >> (2 * v)) & 1 and (mask >> (2 * v + 1)) & 1
-                               for v in range(n))
-    # tables of shapes up to m - 2 leaves are kept; a size-(m - 1) sub-shape's
-    # entries and histogram are folded from its kept children's, as keeping
-    # its table would cost (2n)^(m - 1) bytes per shape (5.5 MB in all at
-    # catalan (7, 2))
+    lemmas = _LemmaCheck(model, m, n)
+
+    def build(conn: str, kids: list) -> _Shape:
+        # tables of shapes up to m - 2 leaves are kept; a size-(m - 1)
+        # sub-shape's histogram is folded from its kept children's, as
+        # keeping its table would cost (2n)^(m - 1) bytes per shape (5.5 MB
+        # in all at catalan (7, 2)).  A listed shape's tautologies are read
+        # from the histogram its parents read anyway
+        shape = _Shape(conn, kids, m - 2)
+        if shape.width < m:
+            lemmas.check(shape, int(_hist(shape, n)[-1]))
+        return shape
+
     leaf = _Shape(None, (), table=_literal_tables(n))
-    build = partial(_Shape, keep=m - 2)
-    report = LemmaReport(model, m, n, 0)
-    for size in range(1, m + 1):
-        # code of the labelling with digit 1 (~x1) on a mask's leaves and
-        # digit 0 (x1) elsewhere.  A code spends n bits per leaf, and for
-        # n = 2 leaf i's variable is bit 2i + 1, so a mask's variable bits
-        # are 2 (n - 1) spread[mask]; n = 1 has none
-        spread = [sum(nlits ** i for i in range(size) if mask >> i & 1)
-                  for mask in range(1 << size)]
-        all_leaves = (1 << size) - 1
-        for shape in _generate(model, size, (leaf,), build):
-            report.trees_checked += nlits ** size
-            # (c) and (s) put ~x1 on the leaves set False, x1 on the others,
-            # and read the table at x1 = 1, its bit 1.  N and R recurse into
-            # every child of an or-node, S of an and-node
-            for cmask in _cands(shape, OR, 0, free):
-                if _at(shape, spread[cmask], n) & 2:
-                    report.counterexamples.append(
-                        ("all-pattern-leaves-false", shape.nested(), cmask))
-            if model.stratified:
-                for cmask in _cands(shape, AND, 0, free):
-                    if not _at(shape, spread[all_leaves ^ cmask], n) & 2:
-                        report.counterexamples.append(
-                            ("all-s-leaves-true", shape.nested(), cmask))
-            count = _tautologies(shape, n)
-            if not count:
-                continue
-            report.tautologies += count
-            # minimal depth-2 restriction count; tautologies have no
-            # essential variables, so restrictions = repetitions.  l pattern
-            # leaves repeat at least l - n times, so only masks of at most
-            # n + 1 leaves can bring the minimum below 2
-            near = [c for c in _cands(shape, OR, 1, free) if c.bit_count() <= n + 1]
-            if not near:
-                continue
-            taut = np.flatnonzero(_table(shape) == full)
-            # the (at least one) pattern leaves have two distinct variables
-            # when their variable bits v are neither all clear nor all set
-            min_reps = None
-            for cmask in near:
-                vm = 2 * (n - 1) * spread[cmask]
-                v = taut & vm
-                reps = cmask.bit_count() - 1 - ((v != 0) & (v != vm))
-                min_reps = reps if min_reps is None else np.minimum(min_reps, reps)
-            for code in taut[min_reps < 1][:5]:
-                report.counterexamples.append(
-                    ("tautology-without-restriction", shape.nested(), int(code)))
-            ones = taut[min_reps == 1]
-            if len(ones):
-                lmask = np.zeros(len(ones), dtype=np.int64)
-                for i in range(size):
-                    if (shape.orp >> i) & 1:
-                        lmask |= 1 << ((ones >> (n * i)) & (nlits - 1))
-                for code in ones[~simple_lut[lmask]][:5]:
-                    report.counterexamples.append(
-                        ("one-restriction-not-simple", shape.nested(), int(code)))
+    lemmas.check(leaf, int(_hist(leaf, n)[-1]))
+    if m > 1:  # a generation of size 1 yields the leaf alone
+        for shape in _generate(model, m, (leaf,), build):
+            lemmas.check(shape, _tautologies(shape, n))
+    report = lemmas.report
+    report.counterexamples = [c for key in sorted(lemmas.found)
+                              for c in lemmas.found[key]]
     return report

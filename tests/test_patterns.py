@@ -13,11 +13,11 @@ from boolform.boolfun import BoolFunc
 from boolform.errors import DomainError, ResourceCapError
 from boolform.exhaustive import (_generate, _literals, distribution,
                                  generate_trees, is_simple_tautology)
-from boolform.patterns import (PatternId, _at, _hist, _literal_tables, _Shape,
-                               _table, _tautologies, count_restrictions,
-                               match_pattern, minimal_embedding,
-                               verify_pattern_lemmas)
-from boolform.trees import ModelId, Tree, compute_function, parse_tree
+from boolform.patterns import (PatternId, _cands, _hist, _least,
+                               _literal_tables, _Shape, _table, _tautologies,
+                               count_restrictions, match_pattern,
+                               minimal_embedding, verify_pattern_lemmas)
+from boolform.trees import AND, OR, ModelId, Tree, compute_function, parse_tree
 
 ALL_MODELS = list(ModelId)
 
@@ -362,41 +362,72 @@ def test_shape_table_entry_is_the_labelled_trees_function(model, size, n, data):
 @given(st.sampled_from(ALL_MODELS), st.integers(1, 6), st.sampled_from([1, 2]),
        st.data())
 def test_histograms_and_point_reads_match_the_shape_table(model, size, n, data):
-    # the verifier counts tautologies from the children's histograms and
-    # reads lemma (c) and (s) entries one at a time, building no root table
+    # the verifier counts tautologies from the children's histograms, reads
+    # lemmas (c) and (s) from the values _cands carries with the masks, and
+    # screens depth-2 masks by _least, building no root table
     shapes = _records(model, size, n)
     shape = shapes[data.draw(st.integers(0, len(shapes) - 1))]
-    code = data.draw(st.integers(0, (2 * n) ** size - 1))
     table = _table(shape)
     full = (1 << (1 << n)) - 1
     assert _tautologies(shape, n) == np.count_nonzero(table == full)
-    assert _at(shape, code, n) == table[code]
     assert np.array_equal(_hist(shape, n), np.bincount(table, minlength=full + 1))
+    free = not model.plane
+    for every in (OR, AND):
+        for mask, value in _cands(shape, every, 0, free):
+            # digit 1 (~x1) on the leaves set False, digit 0 (x1) elsewhere,
+            # read at x1 = 1, bit 1 of the table entry
+            false = mask if every == OR else ((1 << size) - 1) ^ mask
+            code = sum((2 * n) ** i for i in range(size) if false >> i & 1)
+            assert value == bool(table[code] & 2), (every, mask)
+        for k in (0, 1):
+            assert _least(shape, every, k, free) == min(
+                mask.bit_count() for mask, _ in _cands(shape, every, k, free))
 
 
 def test_lemma_check_builds_root_tables_only_for_lemmas_a_and_b(monkeypatch):
-    # a root's table is built only where lemmas (a) and (b) index its
-    # tautologies: it has one and a depth-2 mask of at most n + 1 leaves,
-    # 173 of the 10,067 catalan shapes up to size 7
-    real_generate, real_table = patterns._generate, patterns._table
+    # a checked shape's table is built only where lemmas (a) and (b) index
+    # its tautologies: it has one and a depth-2 mask of at most n + 1
+    # leaves, 173 of the 10,067 catalan shapes up to size 7
+    real_check, real_table = patterns._LemmaCheck.check, patterns._table
     root, checked, built = None, 0, []
 
-    def generate(*args):
+    def check(self, shape, count):
         nonlocal root, checked
-        for shape in real_generate(*args):
-            root, checked = shape, checked + 1
-            yield shape
-            root = None  # the next shape's record is built meanwhile
+        root, checked = shape, checked + 1
+        real_check(self, shape, count)
+        root = None
 
     def table(s):
         if s is root:
             built.append(s.nested())
         return real_table(s)
-    monkeypatch.setattr(patterns, "_generate", generate)
+    monkeypatch.setattr(patterns._LemmaCheck, "check", check)
     monkeypatch.setattr(patterns, "_table", table)
     rep = verify_pattern_lemmas(ModelId.CATALAN, 7, 2)
     assert rep.ok and checked == 10_067
     assert len(built) <= 173, len(built)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_lemma_check_generates_once_and_checks_each_shape_once(model, monkeypatch):
+    # one generation of size 7 lists every smaller shape once, and each is
+    # checked as it is built; the size-7 roots are checked as they stream
+    real_generate, real_check = patterns._generate, patterns._LemmaCheck.check
+    calls, checked = [], Counter()
+
+    def generate(*args):
+        calls.append(args[:2])
+        return real_generate(*args)
+
+    def check(self, shape, count):
+        checked[shape.nested()] += 1
+        real_check(self, shape, count)
+    monkeypatch.setattr(patterns, "_generate", generate)
+    monkeypatch.setattr(patterns._LemmaCheck, "check", check)
+    rep = verify_pattern_lemmas(model, 7, 2)
+    assert rep.ok and calls == [(model, 7)]
+    assert checked == Counter(s for m in range(1, 8) for s in _shapes(model, m))
+    assert len(checked) == sum(FROZEN_SHAPE_COUNTS[model])  # 10,067 catalan
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
@@ -423,12 +454,14 @@ def test_planted_false_lemma_b_is_reported(model, monkeypatch):
 
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_planted_false_lemma_c_is_reported(model, monkeypatch):
-    # a depth-1 pattern without leaves sets no leaf False, and a tree whose
-    # leaves are all True computes True: every shape breaks lemma (c) once
+    # a depth-1 pattern whose leaves are all planted as True non-pattern
+    # leaves sets no leaf False, and the real fold at every node makes a
+    # tree whose leaves are all True compute True: every shape breaks lemma
+    # (c) once
     real = patterns._cands
 
     def no_leaves(s, every, k, free):
-        return [0] if k == 0 else real(s, every, k, free)
+        return [(0, True)] if k == 0 and not s.kids else real(s, every, k, free)
     monkeypatch.setattr(patterns, "_cands", no_leaves)
     rep = verify_pattern_lemmas(model, 5, 1)
     broken = [shape for kind, shape, _ in rep.counterexamples
@@ -443,7 +476,7 @@ def test_planted_false_lemma_a_is_reported(model, monkeypatch):
     real = patterns._cands
 
     def first_leaf(s, every, k, free):
-        return [1] if k == 1 else real(s, every, k, free)
+        return [(1, False)] if k == 1 else real(s, every, k, free)
     monkeypatch.setattr(patterns, "_cands", first_leaf)
     rep = verify_pattern_lemmas(model, 5, 2)
     assert rep.counterexamples
