@@ -44,7 +44,6 @@ from .singular import (
     REFERENCE_CONSTANTS,
     RatioResult,
     SingularityReport,
-    analytic_evaluators,
     constant_estimate,
     dominant_singularity,
     limiting_ratio,
@@ -55,12 +54,6 @@ from .singular import (
 )
 from .patterns import (
     LemmaReport,
-    PatternId,
-    PatternMatch,
-    RestrictionCount,
-    count_restrictions,
-    match_pattern,
-    minimal_embedding,
     verify_pattern_lemmas,
 )
 from .complexity import (

@@ -1,14 +1,13 @@
-"""Pattern languages N, R, S: matching, restrictions, half-embeddings.
+"""Pattern languages N, R, S and an exhaustive check of the pattern lemmas.
 
-A pattern decomposes a tree into pattern leaves and placeholder subtrees.
-One decomposition, _cands, serves labelled trees and the unlabelled shapes
-of the lemma verifier alike: it works on a shape's record (_Shape) and
-returns its pattern leaves as bitmasks (bit i is the i-th leaf in
-preorder), each with the value the shape computes when they are set False
-and the other leaves True (the dual for S).  The placeholders of a tree
-are the largest subtrees that hold no pattern leaf.
-Matching is deterministic on plane trees; on non-plane trees every child
-ordering induces an embedding and minimal_embedding searches them all.
+A pattern decomposes a tree into pattern leaves and placeholder subtrees,
+the largest subtrees that hold no pattern leaf.  N (binary models) and R
+(stratified) recurse into every child of an or-node and keep one child of
+an and-node; S (stratified) is the dual.  A depth-d pattern plugs d - 1
+further levels into its placeholders.  The reading is deterministic on
+plane trees (the first child continues); on non-plane trees every child
+ordering induces an embedding, and a tree's restriction count is the
+least over its embeddings.
 
 Counting conventions: a tree with l pattern leaves has
   repetitions  = l - (number of distinct variables on pattern leaves)
@@ -18,7 +17,11 @@ Counting conventions: a tree with l pattern leaves has
 verify_pattern_lemmas checks the three structural facts used throughout
 the asymptotic analysis, by exhausting connective-labelled shapes (the
 tree generator of boolform.exhaustive run over a one-symbol leaf
-alphabet) and vectorizing over all leaf labellings with numpy.  A shape's
+alphabet) and vectorizing over all leaf labellings with numpy.  The
+decomposition, _cands, works on a shape's record (_Shape) and returns its
+pattern leaves as bitmasks (bit i is the i-th leaf in preorder), each
+with the value the shape computes when they are set False and the other
+leaves True (the dual for S), the same for every labelling.  A shape's
 labellings are the product of its children's, so its histogram (the
 number of its labellings that compute each truth table) folds from its
 children's, and its truth table under every labelling is an outer product
@@ -36,7 +39,6 @@ and (b) index its tautologies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
@@ -44,9 +46,8 @@ import numpy as np
 from .boolfun import BoolFunc
 from .errors import DomainError, ResourceCapError
 from .exhaustive import _generate, _literals, count_trees
-from .trees import AND, OR, ModelId, Tree, compute_function
+from .trees import AND, OR, ModelId
 
-EMBEDDING_CAP = 1_000_000
 # leaf labellings verify_pattern_lemmas may check: catalan (7, 2) has 1.44e8
 # (0.08-0.13 s on a 2-core x86-64 host), (8, 2) 3.74e9 (0.53-0.62 s, 49 MB).
 # The records the generator lists keep their tables, a byte per labelling,
@@ -59,42 +60,6 @@ EMBEDDING_CAP = 1_000_000
 # the shapes with a tautology and a mask of at most n + 1 leaves need it
 # (173 of 10,067 at catalan (7, 2))
 LEMMA_CAP = 1 << 28
-
-
-class PatternId(Enum):
-    N = "N"  # binary: or-nodes recurse both sides, and-nodes keep one side
-    R = "R"  # stratified: or-nodes recurse everywhere, and-nodes keep one child
-    S = "S"  # stratified dual: and-nodes recurse everywhere, or-nodes keep one
-
-
-def _pattern_for(model: ModelId, p: PatternId) -> None:
-    if p is PatternId.N and model.binary:
-        return
-    if p in (PatternId.R, PatternId.S) and model.stratified:
-        return
-    raise DomainError("pattern %s not defined on model %s" % (p.value, model.value))
-
-
-def _every(p: PatternId) -> str:
-    """The connective whose nodes the pattern recurses into at every child;
-    at the other it keeps one child."""
-    return AND if p is PatternId.S else OR
-
-
-@dataclass
-class PatternMatch:
-    tree: Tree
-    pattern: PatternId
-    depth: int
-    pattern_leaves: tuple  # paths
-    placeholders: tuple  # paths of placeholder subtree roots
-
-
-@dataclass
-class RestrictionCount:
-    repetitions: int
-    restrictions: int
-    realized: set
 
 
 class _Shape:
@@ -129,12 +94,6 @@ class _Shape:
         return (self.conn, tuple(c.nested() for c in self.kids)) if self.kids else None
 
 
-def _built(t: Tree, leaf: _Shape) -> _Shape:
-    if t.is_leaf():
-        return leaf
-    return _Shape(t.conn, [_built(c, leaf) for c in t.children])
-
-
 def _cands(s: _Shape, every: str, k: int, free: bool) -> list:
     """Sorted (mask, value) pairs of a shape's pattern leaves, bit 0 of a
     mask its first leaf.  value is what the shape computes with the mask's
@@ -142,10 +101,13 @@ def _cands(s: _Shape, every: str, k: int, free: bool) -> list:
     the others False (every = AND): a placeholder is (0, every == OR), a
     pattern leaf (1, every == AND), and a node folds its children's values.
 
-    every is _every(pattern).  k is the number of additional pattern levels
-    plugged into placeholders (depth = k+1); a subtree reached with k < 0 is
-    a placeholder.  With free False the first child continues (the
-    deterministic plane reading); otherwise every child may.  For each
+    every is the connective whose nodes the pattern recurses into at every
+    child (OR for N and R, AND for S); at the other it keeps one child.  k
+    is the number of additional pattern levels plugged into placeholders
+    (depth = k+1); a subtree reached with k < 0 is a placeholder.  With
+    free False the first child continues (the deterministic plane reading);
+    otherwise every child may, and the masks of all embeddings are
+    returned.  For each
     continuing child the children are walked once, that one at level k and
     the others one level lower (at k too under an every-node), and their
     masks are shifted to their first leaves.  The cache on s serves callers
@@ -197,73 +159,6 @@ def _least(s: _Shape, every: str, k: int, free: bool) -> int:
                              for c, least in zip(s.kids if free else s.kids[:1], low))
     s.memo[key] = got
     return got
-
-
-def _restrictions_of(mask: int, lits: list, essential: set) -> tuple[int, int, set]:
-    pattern_vars = [lit.var for i, lit in enumerate(lits) if (mask >> i) & 1]
-    distinct = set(pattern_vars)
-    reps = len(pattern_vars) - len(distinct)
-    realized = essential & distinct
-    return reps, reps + len(realized), realized
-
-
-def _masks(t: Tree, p: PatternId, depth: int, free: bool) -> list:
-    """Pattern-leaf masks of t: the plane reading, or every embedding if free."""
-    _pattern_for(t.model, p)
-    if depth < 1:
-        raise DomainError("pattern depth must be >= 1")
-    every = _every(p)
-    if free:
-        # orderings to search: product of arities over continue-choice nodes
-        total = 1
-        for _, node in t.nodes():
-            if not node.is_leaf() and node.conn != every:
-                total *= len(node.children)
-                if total > EMBEDDING_CAP:
-                    raise ResourceCapError("embedding search over %d orderings" % total)
-    return [mask for mask, _ in
-            _cands(_built(t, _Shape(None, ())), every, depth - 1, free)]
-
-
-def _minimal(t: Tree, masks: list) -> tuple[int, tuple[int, int, set]]:
-    """The mask with the fewest restrictions, and its (repetitions,
-    restrictions, realized); ties go to the smallest sorted list of leaf
-    indices."""
-    lits = list(t.leaves())
-    essential = compute_function(t).essential_vars()
-    counts = {mask: _restrictions_of(mask, lits, essential) for mask in masks}
-    best = min(masks, key=lambda mask: (
-        counts[mask][1], [i for i in range(len(lits)) if (mask >> i) & 1]))
-    return best, counts[best]
-
-
-def _match(t: Tree, p: PatternId, depth: int, mask: int) -> PatternMatch:
-    nodes = list(t.nodes())
-    paths = [path for path, node in nodes if node.is_leaf()]
-    leaves = tuple(path for i, path in enumerate(paths) if (mask >> i) & 1)
-    # the pattern enters exactly the ancestors of its leaves
-    entered = {path[:j] for path in leaves for j in range(len(path) + 1)}
-    holes = tuple(path for path, _ in nodes
-                  if path not in entered and path[:-1] in entered)
-    return PatternMatch(t, p, depth, leaves, holes)
-
-
-def match_pattern(t: Tree, p: PatternId, depth: int = 1) -> PatternMatch:
-    """Deterministic decomposition; plane models only."""
-    if not t.model.plane:
-        raise DomainError("non-plane trees need minimal_embedding")
-    (mask,) = _masks(t, p, depth, False)
-    return _match(t, p, depth, mask)
-
-
-def count_restrictions(t: Tree, p: PatternId, depth: int = 1) -> RestrictionCount:
-    """Repetitions and restrictions; minimal over embeddings if non-plane."""
-    return RestrictionCount(*_minimal(t, _masks(t, p, depth, not t.model.plane))[1])
-
-
-def minimal_embedding(t: Tree, p: PatternId, depth: int = 1) -> PatternMatch:
-    """Embedding of a non-plane tree minimizing the restriction count."""
-    return _match(t, p, depth, _minimal(t, _masks(t, p, depth, True))[0])
 
 
 # ---------------------------------------------------------------------------

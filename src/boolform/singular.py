@@ -259,15 +259,6 @@ def _grammar(model: ModelId, n: int, order: int) -> _Grammar:
     return (_eval_binary if model.binary else _eval_stratified)(model, n, order)
 
 
-def analytic_evaluators(model: ModelId, n: int, order: int = DEFAULT_ORDER):
-    """Closed/implicit evaluators z -> T, ST^x and g_x, keyed "T", "st", "g".
-
-    They hold up to the dominant singularity; the z^2 and z^l terms come
-    from the order-`order` series.
-    """
-    return _grammar(model, n, order).values
-
-
 # ---------------------------------------------------------------------------
 # dominant singularities
 

@@ -194,41 +194,60 @@ def test_dp_beyond_generation_pinned(model):
 
 
 def _oracle_functions(roots):
-    """Functions of exhaustive that roots reference, directly or in turn."""
+    """The Python functions that the functions roots reach by name, directly
+    or in turn, across modules.
+
+    A name that a function's code reads is looked up in its module's
+    globals, and, when the code also reads a module or class by name, as an
+    attribute of that too; a function found so is followed, and so is each
+    function in a dict so found (a dispatch table).  A call through a local
+    object's method is not seen.  Only the functions of boolform and of the
+    roots' own modules are followed, not numpy's or the standard library's.
+    """
+    within = {f.__module__ for f in roots}
+
+    def followed(module):
+        return module in within or module.startswith("boolform.")
+
     seen, todo = set(), list(roots)
     while todo:
-        name = todo.pop()
-        if name in seen:
+        func = todo.pop()
+        if func in seen:
             continue
-        seen.add(name)
-        obj = getattr(exhaustive, name)
-        funcs = obj.values() if isinstance(obj, dict) else [obj]
-        codes = [f.__code__ for f in funcs]
+        seen.add(func)
+        scope = func.__globals__
+        codes = [func.__code__]
         while codes:
             code = codes.pop()
             codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+            owners = [scope.get(ref) for ref in code.co_names]
+            owners = [o for o in owners
+                      if isinstance(o, types.ModuleType) and followed(o.__name__)
+                      or isinstance(o, type) and followed(o.__module__)]
             for ref in code.co_names:
-                target = getattr(exhaustive, ref, None)
-                targets = target.values() if isinstance(target, dict) else [target]
-                if any(isinstance(t, types.FunctionType)
-                       and t.__module__ == exhaustive.__name__ for t in targets):
-                    todo.append(ref)
+                for target in [scope.get(ref)] + [getattr(o, ref, None) for o in owners]:
+                    targets = target.values() if isinstance(target, dict) else [target]
+                    for t in targets:
+                        # methods, static methods and lru_cache wrappers
+                        t = getattr(t, "__func__", t)
+                        t = getattr(t, "__wrapped__", t)
+                        if isinstance(t, types.FunctionType) and followed(t.__module__):
+                            todo.append(t)
     return seen
 
 
 def test_oracles_share_no_functions():
     # generation, the value DP and the counting recurrences check each other
     # only while none of them calls into another
-    counts = {name for name in vars(exhaustive) if name.startswith("_counts")}
-    oracles = {"generator": _oracle_functions(["_generate"]),
-               "value DP": _oracle_functions(["_value_dp"]),
-               "counts": _oracle_functions(counts)}
-    assert counts and "_zeta" in oracles["value DP"]
+    oracles = {"generator": _oracle_functions([exhaustive._generate]),
+               "value DP": _oracle_functions([exhaustive._value_dp]),
+               "counts": _oracle_functions([exhaustive._counts])}
+    assert exhaustive._zeta in oracles["value DP"]
     for a, b in combinations(sorted(oracles), 2):
         assert not oracles[a] & oracles[b], (a, b, oracles[a] & oracles[b])
     # the generation route checks the DP's distribution
-    route = _oracle_functions(["distribution_by_generation"])
-    assert "_generate" in route and not route & oracles["value DP"]
+    route = _oracle_functions([exhaustive.distribution_by_generation])
+    assert exhaustive._generate in route and not route & oracles["value DP"]
 
 
 @pytest.mark.parametrize("call", [

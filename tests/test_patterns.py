@@ -10,14 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from boolform import patterns
 from boolform.boolfun import BoolFunc
-from boolform.errors import DomainError, ResourceCapError
+from boolform.errors import DomainError
 from boolform.exhaustive import (_generate, _literals, distribution,
                                  generate_trees, is_simple_tautology)
-from boolform.patterns import (PatternId, _cands, _hist, _least,
-                               _literal_tables, _Shape, _table, _tautologies,
-                               count_restrictions, match_pattern,
-                               minimal_embedding, verify_pattern_lemmas)
+from boolform.patterns import (_cands, _hist, _least, _literal_tables, _Shape,
+                               _table, _tautologies, verify_pattern_lemmas)
 from boolform.trees import AND, OR, ModelId, Tree, compute_function, parse_tree
+from test_exhaustive import _oracle_functions
 
 ALL_MODELS = list(ModelId)
 
@@ -41,7 +40,8 @@ FROZEN_LEMMA_REPORTS_7_2 = {
 
 # sha256 of (pattern leaves, placeholders, repetitions, restrictions, realized)
 # for every tree with m <= 4 (n = 1 plane, n = 2 non-plane), every applicable
-# pattern and depths 1 and 2, recorded before the decomposition was rewritten
+# pattern and depths 1 and 2, recorded from the package's former Tree-level
+# pattern API, which the oracle below reproduced tree by tree
 FROZEN_PATTERN_DIGESTS = {
     ModelId.CATALAN:
         "8e46b5b102fa6ae51ebd06cfc826fab6addabc8fcd56aaf668bbb3996e3014cb",
@@ -54,8 +54,63 @@ FROZEN_PATTERN_DIGESTS = {
 }
 
 
-def _patterns(model):
-    return [PatternId.N] if model.binary else [PatternId.R, PatternId.S]
+# ---------------------------------------------------------------------------
+# pattern oracle: a plain recursion over Tree paths that shares no function
+# with boolform.patterns.  every is the connective whose nodes a pattern
+# recurses into at every child: OR for N and R, AND for S.  At a node of the
+# other connective one child continues and the others are placeholders, or,
+# below depth 1, roots of one level less of pattern.
+
+
+def _every(model):
+    """The connectives a model's patterns recurse into at every child: N,
+    or R and S."""
+    return (OR,) if model.binary else (OR, AND)
+
+
+def _decompositions(t, every, k, free, path=()):
+    """Every (pattern-leaf paths, placeholder paths) of t, each in preorder.
+
+    k is the number of pattern levels plugged into placeholders below this
+    one (depth = k + 1).  With free False the first child continues, the
+    plane reading; otherwise each child may, one embedding per choice."""
+    if t.is_leaf():
+        return [((path,), ())]
+    kids = t.children
+    out = []
+    for keep in range(len(kids)) if free and t.conn != every else (0,):
+        acc = [((), ())]
+        for i, c in enumerate(kids):
+            if t.conn == every or i == keep:
+                sub = _decompositions(c, every, k, free, path + (i,))
+            elif k >= 1:
+                sub = _decompositions(c, every, k - 1, free, path + (i,))
+            else:
+                sub = [((), (path + (i,),))]
+            acc = [(a + s, b + q) for a, b in acc for s, q in sub]
+        out.extend(acc)
+    return out
+
+
+def _restrictions(node, leaves, essential):
+    """(repetitions, restrictions, realized) of a set of pattern leaves;
+    node maps a path to its subtree."""
+    pattern_vars = [node[path].literal.var for path in leaves]
+    distinct = set(pattern_vars)
+    reps = len(pattern_vars) - len(distinct)
+    realized = essential & distinct
+    return reps, reps + len(realized), realized
+
+
+def _match(t, every, depth=1):
+    """(pattern leaves, placeholders, restriction counts) of t's plane
+    reading, or of its embedding with the fewest restrictions if t is
+    non-plane, ties to the smallest sorted list of pattern-leaf paths."""
+    node, essential = dict(t.nodes()), compute_function(t).essential_vars()
+    scored = [(leaves, holes, _restrictions(node, leaves, essential))
+              for leaves, holes
+              in _decompositions(t, every, depth - 1, not t.model.plane)]
+    return min(scored, key=lambda d: (d[2][1], d[0]))
 
 
 @lru_cache(maxsize=None)
@@ -86,28 +141,28 @@ def _labelled(shape, code, n, model):
 
 def test_match_pattern_binary_examples():
     t = parse_tree("(or x1 x2)", ModelId.CATALAN)
-    m = match_pattern(t, PatternId.N)
-    assert m.pattern_leaves == ((0,), (1,))
-    assert m.placeholders == ()
+    leaves, holes, _ = _match(t, OR)
+    assert leaves == ((0,), (1,))
+    assert holes == ()
     t = parse_tree("(and x1 x2)", ModelId.CATALAN)
-    m = match_pattern(t, PatternId.N)
-    assert m.pattern_leaves == ((0,),)
-    assert m.placeholders == ((1,),)
+    leaves, holes, _ = _match(t, OR)
+    assert leaves == ((0,),)
+    assert holes == ((1,),)
 
 
 def test_match_pattern_stratified_example():
     t = parse_tree("(or x1 (and x2 x3))", ModelId.ASSOC)
-    m = match_pattern(t, PatternId.R)
-    assert m.pattern_leaves == ((0,), (1, 0))
-    assert m.placeholders == ((1, 1),)
+    leaves, holes, _ = _match(t, OR)  # R
+    assert leaves == ((0,), (1, 0))
+    assert holes == ((1, 1),)
 
 
 def test_match_partition_invariant():
     t = parse_tree("(and (or x1 x2) (or x3 (and x1 x2)))", ModelId.CATALAN)
     for depth in (1, 2):
-        m = match_pattern(t, PatternId.N, depth)
-        covered = set(m.pattern_leaves)
-        for hole in m.placeholders:
+        leaves, holes, _ = _match(t, OR, depth)
+        covered = set(leaves)
+        for hole in holes:
             node = t
             for i in hole:
                 node = node.children[i]
@@ -118,10 +173,10 @@ def test_match_partition_invariant():
 
 def test_depth_two_extends_pattern():
     t = parse_tree("(and (or x1 x2) x3)", ModelId.CATALAN)
-    m1 = match_pattern(t, PatternId.N, 1)
-    m2 = match_pattern(t, PatternId.N, 2)
-    assert set(m1.pattern_leaves) <= set(m2.pattern_leaves)
-    assert len(m2.pattern_leaves) > len(m1.pattern_leaves)
+    leaves1, _, _ = _match(t, OR, 1)
+    leaves2, _, _ = _match(t, OR, 2)
+    assert set(leaves1) <= set(leaves2)
+    assert len(leaves2) > len(leaves1)
 
 
 def test_count_restrictions_examples():
@@ -129,42 +184,58 @@ def test_count_restrictions_examples():
                               ("(or x1 x1)", 1, 2),
                               ("(or x1 x2)", 0, 2)]:
         t = parse_tree(text, ModelId.CATALAN)
-        rc = count_restrictions(t, PatternId.N)
-        assert (rc.repetitions, rc.restrictions) == (reps, total), text
+        assert _match(t, OR)[2][:2] == (reps, total), text
 
 
 def test_restrictions_realized_set():
     t = parse_tree("(or x1 x2)", ModelId.CATALAN)
-    rc = count_restrictions(t, PatternId.N)
-    assert rc.realized == {1, 2}
+    assert _match(t, OR)[2][2] == {1, 2}
     # a tautology has no essential variables, so nothing is realized
     t = parse_tree("(or x1 ~x1)", ModelId.CATALAN)
-    assert count_restrictions(t, PatternId.N).realized == set()
+    assert _match(t, OR)[2][2] == set()
 
 
 def test_minimal_embedding_picks_smaller_count():
     t = parse_tree("(and (or x2 ~x2) x1)", ModelId.COMM)
-    rc = count_restrictions(t, PatternId.N)
+    leaves, _, (_, restrictions, _) = _match(t, OR)
     # keeping the literal side yields no repetition and one realized var
-    assert rc.restrictions == 1
-    m = minimal_embedding(t, PatternId.N)
-    assert len(m.pattern_leaves) == 1
-
-
-def test_pattern_model_compatibility():
-    t = parse_tree("(or x1 x2)", ModelId.CATALAN)
-    with pytest.raises(DomainError):
-        match_pattern(t, PatternId.R)
-    t = parse_tree("(or x1 x2)", ModelId.ASSOC)
-    with pytest.raises(DomainError):
-        match_pattern(t, PatternId.N)
+    assert restrictions == 1
+    assert len(leaves) == 1
 
 
 def test_s_pattern_on_assoc():
     t = parse_tree("(and x1 (or x2 x3))", ModelId.ASSOC)
-    m = match_pattern(t, PatternId.S)
+    leaves, _, _ = _match(t, AND)
     # and-node recurses everywhere, or-node keeps its first child
-    assert m.pattern_leaves == ((0,), (1, 0))
+    assert leaves == ((0,), (1, 0))
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_cands_masks_are_the_oracles_pattern_leaves(model):
+    # Tree.internal re-sorts the children of a non-plane tree, so each shape
+    # is built in the plane counterpart model, in its record's child order,
+    # and read with the model's own (free or plane) reading
+    plane = ModelId.CATALAN if model.binary else ModelId.ASSOC
+    free = not model.plane
+    for size in range(1, 6):
+        for shape in _records(model, size):
+            t = _labelled(shape.nested(), 0, 1, plane)
+            bit = {path: 1 << i for i, path in
+                   enumerate(p for p, sub in t.nodes() if sub.is_leaf())}
+            for every in _every(model):
+                for k in (0, 1):
+                    want = {sum(bit[path] for path in leaves)
+                            for leaves, _ in _decompositions(t, every, k, free)}
+                    got = {mask for mask, _ in _cands(shape, every, k, free)}
+                    assert got == want, (shape.nested(), every, k)
+
+
+def test_pattern_oracle_reaches_no_patterns_function():
+    # the oracle checks the verifier's decomposition only while it shares no
+    # code with it; the walk does follow names into boolform
+    reached = _oracle_functions([_match, _every])
+    assert {_decompositions, _restrictions, compute_function} <= reached
+    assert not [f for f in reached if f.__module__ == patterns.__name__]
 
 
 # ---------------------------------------------------------------------------
@@ -290,39 +361,16 @@ def test_lemmas_hold_at_small_sizes(model):
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_pattern_digests_pinned(model):
     # ties between minimal embeddings included, e.g. (or (and x1 x2) (and x1 ~x2))
-    match = match_pattern if model.plane else minimal_embedding
     h = hashlib.sha256()
     for m in range(1, 5):
         for t in generate_trees(model, m, 1 if model.plane else 2):
-            for p in _patterns(model):
+            for every in _every(model):
                 for depth in (1, 2):
-                    pm = match(t, p, depth)
-                    rc = count_restrictions(t, p, depth)
-                    h.update(repr((pm.pattern_leaves, pm.placeholders,
-                                   rc.repetitions, rc.restrictions,
-                                   sorted(rc.realized))).encode())
+                    leaves, holes, (reps, restrictions, realized) = _match(
+                        t, every, depth)
+                    h.update(repr((leaves, holes, reps, restrictions,
+                                   sorted(realized))).encode())
     assert h.hexdigest() == FROZEN_PATTERN_DIGESTS[model]
-
-
-@pytest.mark.parametrize("depth", [0, -3])
-def test_depth_below_one_is_domain_error(depth):
-    plane = parse_tree("(and (or x1 x2) x3)", ModelId.CATALAN)
-    other = parse_tree("(and (or x1 x2) x3)", ModelId.COMM)
-    for call, t in [(match_pattern, plane), (minimal_embedding, other),
-                    (count_restrictions, plane), (count_restrictions, other)]:
-        with pytest.raises(DomainError):
-            call(t, PatternId.N, depth)
-
-
-def test_embedding_cap_fires_before_the_search():
-    # 21 nested and-nodes: 2^21 orderings of the keep-one children
-    text = "x1"
-    for _ in range(21):
-        text = "(and x1 %s)" % text
-    t = parse_tree(text, ModelId.COMM)
-    for call in (minimal_embedding, count_restrictions):
-        with pytest.raises(ResourceCapError):
-            call(t, PatternId.N)
 
 
 @pytest.mark.parametrize("model,tautologies", [
@@ -331,8 +379,8 @@ def test_embedding_cap_fires_before_the_search():
 ])
 def test_lemmas_a_b_tree_by_tree(model, tautologies):
     # the vectorized verifier's lemmas (a) and (b), one labelled tree at a
-    # time, against exhaustive's simple-tautology classifier
-    p = _patterns(model)[0]
+    # time, with the oracle's restriction counts, against exhaustive's
+    # simple-tautology classifier
     true = BoolFunc.constant(2, True)
     seen = 0
     for m in range(1, 5):
@@ -340,7 +388,7 @@ def test_lemmas_a_b_tree_by_tree(model, tautologies):
             if compute_function(t, 2) != true:
                 continue
             seen += 1
-            r = count_restrictions(t, p, 2).restrictions
+            r = _match(t, OR, 2)[2][1]
             assert r >= 1, t
             assert r > 1 or is_simple_tautology(t), t
     assert seen == tautologies
@@ -444,12 +492,11 @@ def test_planted_false_lemma_b_is_reported(model, monkeypatch):
     assert rep.counterexamples
     per_shape = Counter(shape for _, shape, _ in rep.counterexamples)
     assert max(per_shape.values()) == 5
-    p = _patterns(model)[0]
     for kind, shape, code in rep.counterexamples:
         assert kind == "one-restriction-not-simple"
         t = _labelled(shape, code, 2, model)
         assert compute_function(t, 2) == BoolFunc.constant(2, True)
-        assert count_restrictions(t, p, 2).restrictions == 1
+        assert _match(t, OR, 2)[2][1] == 1
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
@@ -472,7 +519,8 @@ def test_planted_false_lemma_c_is_reported(model, monkeypatch):
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_planted_false_lemma_a_is_reported(model, monkeypatch):
     # a depth-2 pattern of the first leaf alone repeats no variable, so every
-    # tautology breaks lemma (a): at most 5 are kept per shape
+    # tautology breaks lemma (a): at most 5 are kept per shape, and the
+    # oracle finds the restriction that the planted pattern hides
     real = patterns._cands
 
     def first_leaf(s, every, k, free):
@@ -486,6 +534,7 @@ def test_planted_false_lemma_a_is_reported(model, monkeypatch):
         assert kind == "tautology-without-restriction"
         t = _labelled(shape, code, 2, model)
         assert compute_function(t, 2) == BoolFunc.constant(2, True)
+        assert _match(t, OR, 2)[2][1] >= 1
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)

@@ -9,13 +9,12 @@ import pytest
 
 from boolform import singular
 from boolform.errors import DomainError, NumericError
-from boolform.series import (PowerSeries, solve_aux_series,
+from boolform.series import (DEFAULT_ORDER, PowerSeries, solve_aux_series,
                              solve_half_series, solve_model_series)
-from boolform.singular import (RATIO_POINTS, REFERENCE_CONSTANTS,
-                               analytic_evaluators, constant_estimate,
-                               dominant_singularity, limiting_ratio,
-                               probability_literal, probability_true,
-                               singularity_report, w_rates)
+from boolform.singular import (RATIO_POINTS, REFERENCE_CONSTANTS, _grammar,
+                               constant_estimate, dominant_singularity,
+                               limiting_ratio, probability_literal,
+                               probability_true, singularity_report, w_rates)
 from boolform.trees import ModelId
 
 ALL_MODELS = list(ModelId)
@@ -181,7 +180,7 @@ def test_limiting_ratio_needs_a_window_above_m_zero():
 
 
 def test_numeric_error_beyond_branch_point():
-    ev = analytic_evaluators(ModelId.ASSOC_COMM, 2, 48)
+    ev = _grammar(ModelId.ASSOC_COMM, 2, 48).values
     rep = dominant_singularity(ModelId.ASSOC_COMM, 2, order=48)
     with pytest.raises(NumericError):
         ev["T"](rep.rho * mp.mpf("1.2"))
@@ -193,7 +192,7 @@ def test_assoccomm_evaluator_reaches_the_branch_point(n, prec):
     # T = 1 - c sqrt(1 - z/rho) + ..., so at rho, and one ulp past it, T is
     # real and rounding moves it by O(sqrt(eps)) from the branch value 1
     with mp.workprec(prec):
-        ev = analytic_evaluators(ModelId.ASSOC_COMM, n)
+        ev = _grammar(ModelId.ASSOC_COMM, n, DEFAULT_ORDER).values
         rho = dominant_singularity(ModelId.ASSOC_COMM, n, prec).rho
         for z in (rho, rho * (1 + mp.eps)):
             t = ev["T"](z)
@@ -297,7 +296,7 @@ def test_singularity_report_digits_pinned(model):
     assert got == PINNED_REPORTS_N100[model]
     for prec, digest in PINNED_EVALUATOR_DIGESTS_N100.get(model, {}).items():
         with mp.workprec(prec):
-            ev = analytic_evaluators(model, 100)
+            ev = _grammar(model, 100, DEFAULT_ORDER).values
             rho = dominant_singularity(model, 100, prec).rho
             values = [[repr(ev[name](rho * (1 - mp.mpf(1e-2) * mp.mpf(2) ** -k)))
                        for name in ("T", "st", "g")]
@@ -322,7 +321,7 @@ def test_evaluators_match_the_exact_series(model, n):
               "g": solve_aux_series(model, "g_x", n, 64)}
     with mp.workprec(256):
         z = dominant_singularity(model, n, 256, order=64).rho / 8
-        ev = analytic_evaluators(model, n, 64)
+        ev = _grammar(model, n, 64).values
         assert sorted(ev) == sorted(series)
         for name, s in series.items():
             want = _horner(s, z)
@@ -450,7 +449,7 @@ def test_singular_layer_rejects_n_or_order_below_one():
     for model in ALL_MODELS:
         for n, order in ((0, 8), (-2, 8), (1, 0), (1, -5)):
             with pytest.raises(DomainError, match="must be >= 1"):
-                analytic_evaluators(model, n, order)
+                _grammar(model, n, order)
             with pytest.raises(DomainError, match="must be >= 1"):
                 dominant_singularity(model, n, order=order)
 
