@@ -232,11 +232,11 @@ def probability_vs_bounds(
 
     The estimate at each n is rho_n^L (lambda_T w1 + lambda_X w2) n^(L+1)
     with the tallied expansion counts and the limiting ratios w1, w2 of
-    simple tautologies and fixed-literal trees.  With two or more distinct
-    grid points the n -> infinity value is read off a least-squares a + b/n
-    fit (singular.fit_limit), and that limit is what the bound check uses.
-    When the limit falls outside the bounds, `reason` names the missed
-    bound and the gap.
+    simple tautologies and fixed-literal trees.  The n -> infinity value is
+    the polynomial in 1/n through the estimates at the distinct grid points,
+    read at 1/n = 0 (singular._extrapolate; one point gives its estimate),
+    and that limit is what the bound check uses.  When the limit falls
+    outside the bounds, `reason` names the missed bound and the gap.
     """
     # an estimate at n counts trees on x1..xn, so f must depend on none past n
     least = max(f.essential_vars(), default=1)
@@ -253,12 +253,9 @@ def probability_vs_bounds(
         est = rho ** ts.L * (tally.lambda_T * w1
                              + tally.lambda_X * w2) * n ** (ts.L + 1)
         rows.append({"n": n, "rho": rho, "estimate": est})
-    if len(rows) >= 2:
-        limit = float(singular.fit_limit([r["n"] for r in rows],
-                                         [r["estimate"] for r in rows]))
-    else:
-        limit = rows[-1]["estimate"]
-    # slack covers the residual O(1/n^2) error of the two-term fit
+    limit = singular._extrapolate([r["n"] for r in rows],
+                                  [r["estimate"] for r in rows])
+    # slack covers the O(1/n^k) remainder of extrapolating through k points
     within = (None if bounds.restricted else
               bounds.lower - _tol(bounds) <= limit <= bounds.upper + _tol(bounds))
     return {

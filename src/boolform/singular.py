@@ -40,7 +40,7 @@ from .series import (DEFAULT_ORDER, PowerSeries, _check_size, _polya_tail,
 from .trees import ModelId
 
 DEFAULT_PRECISION = 256
-DEFAULT_N_GRID = (100, 200, 400)  # n of the least-squares fits to n -> inf
+DEFAULT_N_GRID = (100, 200, 400)  # n extrapolated to n -> inf
 
 
 class _SeriesEval:
@@ -415,6 +415,17 @@ def _dominant_singularity(model: ModelId, n: int, precision: int, method: str,
 RATIO_POINTS = 13  # K, the points of each Neville window in 1/m
 
 
+def _extrapolate(ns, ys):
+    """The value at 1/n = 0 of the polynomial in 1/n through the points
+    (n, y), by Neville's scheme: exact on Fractions, rounded on mpf and
+    float.  The ns must be distinct."""
+    p = list(ys)
+    for k in range(1, len(p)):
+        p = [(ns[i] * p[i] - ns[i + k] * p[i + 1]) / (ns[i] - ns[i + k])
+             for i in range(len(p) - 1)]
+    return p[0]
+
+
 @dataclass
 class RatioResult:
     value: object
@@ -441,11 +452,9 @@ def limiting_ratio(numerator: PowerSeries, denominator: PowerSeries,
     ms = range(top - RATIO_POINTS, top + 1)
     if ms[0] < 1 or not all(denominator[m] for m in ms):
         raise DomainError("m < 1 or den_m = 0 in m = %d..%d" % (ms[0], top))
-    p = ratios = [Fraction(numerator[m]) / denominator[m] for m in ms]
-    # Neville at 1/m = 0, in m: K - 1 rounds leave both windows' values
-    for k in range(1, RATIO_POINTS):
-        p = [(ms[i] * p[i] - ms[i + k] * p[i + 1]) / (ms[i] - ms[i + k])
-             for i in range(len(p) - 1)]
+    ratios = [Fraction(numerator[m]) / denominator[m] for m in ms]
+    p = [_extrapolate(ms[i:i + RATIO_POINTS], ratios[i:i + RATIO_POINTS])
+         for i in (0, 1)]
     err, step = abs(p[1] - p[0]), abs(ratios[-1] - ratios[-2])
     diagnostics = {"error": float(err), "step": float(step), "m": top}
     if err and not err < step:
@@ -513,27 +522,17 @@ REFERENCE_CONSTANTS = {
 }
 
 
-def fit_limit(ns, vals):
-    """lam of the least-squares fit y = lam + c/n, at the working precision."""
-    s1 = mp.mpf(len(ns))
-    sx = mp.fsum(1 / mp.mpf(n) for n in ns)
-    sxx = mp.fsum(1 / mp.mpf(n) ** 2 for n in ns)
-    sy = mp.fsum(vals)
-    sxy = mp.fsum(v / mp.mpf(n) for n, v in zip(ns, vals))
-    det = s1 * sxx - sx * sx
-    return (sxx * sy - sx * sxy) / det
-
-
 def constant_estimate(model: ModelId, target: str,
                       n_grid=DEFAULT_N_GRID,
                       precision: int = DEFAULT_PRECISION,
                       order: int = DEFAULT_ORDER):
-    """Estimate the n->inf constant by fitting lambda + c/n over set(n_grid).
+    """Estimate the n->inf constant from its values at the distinct n of
+    n_grid, extrapolated to 1/n = 0 through all of them (_extrapolate).
 
     target 'True': n^2-free probability of a tautology (scaled by n).
     target 'literal': probability of the fixed literal (scaled by n^2).
     Returns (lambda, errorbar); the error bar is the shift when the
-    smallest n is dropped from the fit.
+    smallest n is dropped from the extrapolation.
     """
     if target not in ("True", "literal"):
         raise DomainError("target must be 'True' or 'literal'")
@@ -544,7 +543,7 @@ def constant_estimate(model: ModelId, target: str,
     with mp.workprec(precision):
         ys = [getattr(dominant_singularity(model, n, precision, order=order),
                       attr) for n in grid]
-        lam, lam2 = fit_limit(grid, ys), fit_limit(grid[1:], ys[1:])
+        lam, lam2 = _extrapolate(grid, ys), _extrapolate(grid[1:], ys[1:])
         return lam, abs(lam - lam2)
 
 

@@ -338,11 +338,14 @@ def test_probability_vs_bounds_internal_consistency():
     assert rep["reason"] is None
     assert rep["L"] == 2 and rep["M"] == 2
     assert rep["grid"][0]["estimate"] > 0
-    # a repeated grid point is fitted once
+    # a repeated grid point is used once: Neville's step would divide by
+    # zero at it
     assert probability_vs_bounds(AND12, ModelId.CATALAN,
                                  n_grid=(100, 100, 200)) == rep
     # the comm literal's limit 5/16 exceeds the collapsed published bounds
     rep = probability_vs_bounds(X1, ModelId.COMM, n_grid=(100,))
+    # one grid point is its own limit
+    assert rep["limit"] == rep["grid"][0]["estimate"]
     assert rep["within_bounds"] is False
     assert rep["bounds"]["upper"] == 1153.0 / 4096 < rep["limit"]
     assert rep["reason"].startswith(

@@ -225,10 +225,57 @@ def test_constant_estimate_catalan():
     est, err = constant_estimate(ModelId.CATALAN, "True", (50, 100, 200))
     assert abs(est - 0.75) < 0.005
     assert err < 0.01
-    # a repeated point is fitted once; counted twice, it shrinks the error
-    # bar (2.6e-6 instead of 6.9e-5) below the true error of 1.2e-4
+    # a repeated n is used once: Neville's step would divide by zero at it
     assert (constant_estimate(ModelId.CATALAN, "True", (100, 100, 200, 400))
             == constant_estimate(ModelId.CATALAN, "True", (100, 200, 400)))
+
+
+def _known_limit(model, target):
+    # comm's limits are the derived 3/4 and 5/16 (tests/test_comm_limits.py),
+    # not the published ones that REFERENCE_CONSTANTS keeps
+    if model is ModelId.COMM:
+        return mp.mpf(3) / 4 if target == "True" else mp.mpf(5) / 16
+    return REFERENCE_CONSTANTS[(model, target)]()
+
+
+@pytest.mark.parametrize("target", ["True", "literal"])
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_constant_estimate_error_bar_covers_the_true_error(model, target):
+    # on the default grid the bar reads 49-384x the error
+    est, err = constant_estimate(model, target)
+    with mp.workprec(256):
+        assert abs(est - _known_limit(model, target)) <= err
+
+
+def test_extrapolate_is_exact_on_fractions():
+    # y = 3 + 2/n - 5/n^2 + 7/n^3 through four points is read exactly at 0
+    def y(n):
+        return 3 + Fraction(2, n) - Fraction(5, n ** 2) + Fraction(7, n ** 3)
+
+    ns = (1, 2, 3, 5)
+    assert singular._extrapolate(ns, [y(n) for n in ns]) == 3
+    # through three points the 7/n^3 term is left over
+    assert singular._extrapolate(ns[1:], [y(n) for n in ns[1:]]) != 3
+    for point in (Fraction(2, 7), mp.mpf("0.3"), 0.3):
+        assert singular._extrapolate([7], [point]) is point
+
+
+@pytest.mark.parametrize("kind", ["mpf", "float"])
+def test_extrapolate_rounds_on_mpf_and_float(kind):
+    ns = (100, 200, 400)
+    coeffs = (Fraction(3, 4), Fraction(-7, 3), Fraction(11, 5))
+    exact = [sum(c / Fraction(n) ** k for k, c in enumerate(coeffs))
+             for n in ns]
+    assert singular._extrapolate(ns, exact) == coeffs[0]
+    with mp.workprec(256):
+        if kind == "mpf":
+            ys = [mp.mpf(v.numerator) / v.denominator for v in exact]
+            eps = mp.eps
+        else:
+            ys, eps = [float(v) for v in exact], 2.0 ** -52
+        got = singular._extrapolate(ns, ys)
+        assert type(got) is type(ys[0])
+        assert abs(got - mp.mpf(3) / 4) <= 16 * eps
 
 
 def test_reference_constants_table_is_complete():
@@ -355,6 +402,41 @@ def test_w_rates_match_extrapolated_coefficient_ratios(model, n):
     with mp.workprec(256):
         for g, want in zip(got, (rep.w1, rep.w2, rep.rho)):
             assert abs(g - want) < want * mp.mpf("1e-16"), (g, want)
+
+
+# sha256 of the repr of limiting_ratio's (value, diagnostics), or of a
+# failure's (type, message, diagnostics), per model, over kind in (st_x,
+# g_x), n in (1, 2, 5) and order in (32, 64, 128) of
+# limiting_ratio(aux series, model series): 64 values and 8 NumericErrors,
+# recorded once and frozen
+PINNED_RATIO_DIGESTS = {
+    ModelId.CATALAN:
+        "ea677a1bb4bf9fc058d2b59b1957728517d4f1b0cd02cfb270ad1a735f96041a",
+    ModelId.ASSOC:
+        "994eba31c375a5441c4349c2cca4a00925a8a0df9d9a22398ca5fe3fbae88675",
+    ModelId.COMM:
+        "6a7c983773364b6661013f5653dd73f3b4debd970fc718dc7fae0135a6198364",
+    ModelId.ASSOC_COMM:
+        "9bab6aba914662d2f85666ac3e9b7fb03e814106a073573382672de22dcf19d0",
+}
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_limiting_ratio_pinned(model):
+    entries = []
+    for kind in ("st_x", "g_x"):
+        for n in (1, 2, 5):
+            for order in (32, 64, 128):
+                num = solve_aux_series(model, kind, n, order)
+                den = solve_model_series(model, n, order)
+                try:
+                    res = limiting_ratio(num, den)
+                    entries.append(repr((res.value, res.diagnostics)))
+                except NumericError as e:
+                    entries.append(repr((type(e).__name__, str(e),
+                                         e.diagnostics)))
+    digest = hashlib.sha256(repr(entries).encode()).hexdigest()
+    assert digest == PINNED_RATIO_DIGESTS[model]
 
 
 def test_limiting_ratio_reads_only_the_series(monkeypatch):
