@@ -32,7 +32,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from math import comb
 from operator import mul
 from typing import Callable, Iterator, Sequence
 
@@ -49,27 +48,6 @@ GENERATION_CAP = 50_000_000
 # counting
 
 
-def _multiset_ge2(counts: list[int], m: int) -> int:
-    """Multisets of >= 2 trees with sizes summing to m, item supplies counts[s]."""
-    # f[j] = multisets of trees of size < m, total size j (>= 2 parts if j = m)
-    f = [0] * (m + 1)
-    f[0] = 1
-    for s in range(1, m):
-        if counts[s] == 0:
-            continue
-        # convolve with sum_k C(counts[s]+k-1, k) z^(s*k)
-        g = [0] * (m + 1)
-        for j in range(m + 1):
-            if f[j] == 0:
-                continue
-            k = 0
-            while j + s * k <= m:
-                g[j + s * k] += f[j] * comb(counts[s] + k - 1, k)
-                k += 1
-        f = g
-    return f[m]
-
-
 def _counts(model: ModelId, m: int, n: int) -> list[int]:
     """c[s] for s <= m: the trees of size s if binary; if stratified, the
     trees of size s that are a leaf or rooted by one fixed connective.
@@ -82,6 +60,9 @@ def _counts(model: ModelId, m: int, n: int) -> list[int]:
     c = [0] * (m + 1)
     c[1] = 2 * n
     seq = c[:]  # sequences of >= 1 c-trees, for the plane stratified model
+    # multisets of c-trees of sizes < s by total size, for the non-plane
+    # stratified model: the product over k < s of (1 - z^k)^(-c[k])
+    mset = [1] + [0] * m
     for s in range(2, m + 1):
         if binary:
             # pairs of trees of sizes i < s - i, and of two of size s/2
@@ -93,7 +74,16 @@ def _counts(model: ModelId, m: int, n: int) -> list[int]:
             c[s] = sum(map(mul, c[1:s], seq[s - 1:0:-1]))
             seq[s] = 2 * c[s]
         else:
-            c[s] = _multiset_ge2(c, s)
+            # fold in the factor of size k = s - 1, in place from the top so
+            # that each sum reads the product without it; a total of s from
+            # trees smaller than s takes >= 2 of them
+            k, ck = s - 1, c[s - 1]
+            binom = [1]  # C(ck + i - 1, i): i trees of size k
+            for i in range(1, m // k + 1):
+                binom.append(binom[-1] * (ck + i - 1) // i)
+            for j in range(m, k - 1, -1):
+                mset[j] += sum(map(mul, binom[1:j // k + 1], mset[j - k::-k]))
+            c[s] = mset[s]
     return c
 
 

@@ -380,7 +380,8 @@ def _aux_series(model: ModelId, n: int, order: int) -> dict:
         gbar = solve_equation(lambda s: rhs(s, 2 * n - 1), order)
         stbar = solve_equation(lambda s: rhs(s, 2 * n, gbar), order)
         g, st = _known(full - gbar), _known(full - stbar)
-    # the simple-x kinds stay online: nothing in the package reads them
+    # the simple-x kinds stay online, computed when first read: only the
+    # CLI's series --kind simple_x_T|simple_x_X reads them
     c = _simple_x_factor(model)
     table = {"g_x": g, "gbar_x": gbar, "st_x": st, "stbar_x": stbar,
              "simple_x_T": z.scale(c * n) * st, "simple_x_X": z.scale(c) * g}

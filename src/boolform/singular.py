@@ -7,17 +7,19 @@ ratio S_m/T_m is dG/dT at (rho, tau) (singularity analysis: Flajolet &
 Sedgewick, Analytic Combinatorics, ch. VI and VII.4).  The rates are read
 there in closed form.  limiting_ratio reads the same limits, and rho as
 lim T_m/T_(m+1), off the exact coefficients, extrapolated in 1/m; it uses no
-evaluator and no root finder, so it checks them independently.
+grammar record and no root finder, so it checks them independently.
 
-One record per grammar (pairs, SEQ, MSET) states its branch point: value
-closures, branch condition and bracket, value at rho, closed form and rates.
-Each branch point is solved once, into one cached SingularityReport of rho,
-the value there, the rates and both constants, which every entry point reads;
-one derivative-free regula falsi guess steers every branch-point bisection.
+One record per grammar (pairs, SEQ, MSET) states its branch point and
+nothing else: branch condition and bracket, value at rho, closed form and
+rates.  Each branch point is solved once, into one cached SingularityReport
+of rho, the value there, the rates and both constants, which every entry
+point reads; one derivative-free regula falsi guess steers every
+branch-point bisection.
 
 Near the singularity the truncated series are useless (the tail decays
-like (1-eps)^order), so every evaluator here is in closed form: a radical
-for pairs and SEQ, the principal branch W_0 of Lambert W for MSET.
+like (1-eps)^order), so the records read the classes in closed form at the
+branch value: radicals for pairs, and for SEQ and MSET the value of E(hat)
+where its slope in hat is 2.
 Truncated series only enter through the z^2-substituted terms and MSET's
 log Pi = sum over l >= 2 of hat(z^l)/l, one exact series of order 2 order and
 radius sqrt(rho); all sit deep inside their disks of convergence, and
@@ -86,16 +88,18 @@ class _SeriesEval:
 
 @dataclass(frozen=True)
 class _Grammar:
-    """A grammar at one n and order; closures evaluate at the working
-    precision, hi and closed are at the precision of the build."""
-    values: dict  # z -> T, st (ST^x, simple tautologies on x1), g (g_x)
+    """A grammar's branch point at one n and order; cond, value_at and rates
+    evaluate at the working precision, hi and closed are at the precision of
+    the build."""
     cond: Callable  # branch condition: > 0 at 0, its zero rho, < 0 at hi
     hi: object
     # rho -> T(rho); for assoccomm (MSET) the half series hat(rho) = 1/2 + n rho,
     # where T(rho) = 1 exactly
     value_at: Callable
     closed: Optional[tuple]  # (rho, value_at(rho)) in closed form, or None
-    rates: Callable  # rho -> (w1, w2) = (n dst/dT, dg/dT) at the branch point
+    # rho -> (w1, w2) = (n dst/dT, dg/dT) at the branch point, with st = ST^x
+    # (simple tautologies on x1) and g = g_x (an or-only path to x1)
+    rates: Callable
 
 
 def _eval_binary(model: ModelId, n: int, order: int) -> _Grammar:
@@ -107,8 +111,8 @@ def _eval_binary(model: ModelId, n: int, order: int) -> _Grammar:
     the form y = P + A y^2, so y = (1 - sqrt(1 - 4AP))/(2A).  The trees that
     are not simple tautologies, stbar = 2nz + pairs(T) + 2 pairs(gbar) -
     pairs(2 gbar - stbar), solve a y^2 + (1 - 4a gbar) y = 2nz + pairs(T) -
-    2a gbar^2 + stbar(z^2)/2.  gbar and stbar are written once as functions
-    of (z, T): the values put in T(z), the rates the branch value tau = 1/(4a)
+    2a gbar^2 + stbar(z^2)/2.  gbar and stbar are written as functions of
+    (z, T), and the rates differentiate them at the branch value tau = 1/(4a),
     where T's discriminant, the branch condition, vanishes (linear if plane).
     """
     n_ = mp.mpf(n)
@@ -143,14 +147,6 @@ def _eval_binary(model: ModelId, n: int, order: int) -> _Grammar:
     def T(z):
         return (1 - mp.sqrt(disc(z))) / (4 * a)
 
-    def g(z):
-        t = T(z)
-        return t - gbar(z, t)
-
-    def st(z):
-        t = T(z)
-        return t - stbar(z, t, gbar(z, t))
-
     def rates(rho):
         # implicit differentiation of the two quadratics in T, with the z^2
         # terms held constant, written in g = tau - gbar and s = tau - stbar
@@ -163,8 +159,7 @@ def _eval_binary(model: ModelId, n: int, order: int) -> _Grammar:
         return w1, w2
 
     closed = (1 / (16 * a * n_), 1 / (4 * a)) if model.plane else None
-    return _Grammar({"T": T, "st": st, "g": g}, disc, 1 / (8 * n_), T, closed,
-                    rates)
+    return _Grammar(disc, 1 / (8 * n_), T, closed, rates)
 
 
 def _eval_stratified(model: ModelId, n: int, order: int) -> _Grammar:
@@ -174,16 +169,14 @@ def _eval_stratified(model: ModelId, n: int, order: int) -> _Grammar:
     one exact series of order 2 order and radius sqrt(rho) (_SeriesEval).
 
     hat = 2nz + many(hat) solves E(hat) = 1 + 2 hat - 2nz on its lower
-    branch and T = 2 hat - 2nz = E_0 - 1, in closed form: hat is a radical for
-    SEQ, and E_0 = -2 W_0(-e^(nz - 1/2) Pi/2) for MSET (Lambert W's principal
-    branch, Corless et al. 1996), whose branch point -1/e is rho.  With E_k
-    the E of hat - kz, g = E_0 - E_1 and st = E_0 - 2 E_1 + E_2 are evaluated
-    without cancellation as g = z E_0 q1 and st = z^2 E_0 q2: q1 = q2 = 1 for
-    MSET, where E_k = (1 - z)^k E_0, and q1 = E_1, q2 = 2 E_1 E_2 for SEQ.
-    They are written once as functions of (z, E_0, u = 1 - hat): the values
-    put in E_0(z), the rates the branch point E_u = 2, where E_0 = sqrt(2)
-    for SEQ and E_0 = 2 for MSET.  The branch condition is hat's discriminant
-    for SEQ, a quadratic with a closed form, and 2 - E_u at 1/2 + nz for MSET.
+    branch and T = 2 hat - 2nz = E_0 - 1, whose branch point rho is where E's
+    slope in hat is 2: E_0 = sqrt(2) there for SEQ and E_0 = 2 for MSET.
+    With E_k the E of hat - kz, g = E_0 - E_1 and st = E_0 - 2 E_1 + E_2 are
+    read without cancellation as g = z E_0 q1 and st = z^2 E_0 q2: q1 = q2 =
+    1 for MSET, where E_k = (1 - z)^k E_0, and q1 = E_1, q2 = 2 E_1 E_2 for
+    SEQ.  The rates are their slopes in hat, over dT/dhat = 2.  The branch
+    condition is hat's discriminant for SEQ, a quadratic with a closed form,
+    and 2 - E_u at 1/2 + nz for MSET.
     """
     n_ = mp.mpf(n)
     if model.plane:
@@ -197,6 +190,15 @@ def _eval_stratified(model: ModelId, n: int, order: int) -> _Grammar:
             return 2 * (1 - 1 / mp.sqrt(2)) - 2 * n_ * rho
 
         closed = ((3 - 2 * mp.sqrt(2)) / (2 * n_), mp.sqrt(2) - 1)
+
+        def rates(rho):
+            # g and st at u = 1 - hat = 1/sqrt(2), times their log-slopes
+            # in hat (d log E_k/d hat = E_k, as E_u = E^2), over dT/dhat = 2
+            u = 1 / mp.sqrt(2)
+            e0 = 1 / u
+            e1, e2 = 1 / (u + rho), 1 / (u + 2 * rho)
+            g, st = rho * e0 * e1, rho * rho * e0 * (2 * e1 * e2)
+            return n_ * st * (e0 + e1 + e2) / 2, g * (e0 + e1) / 2
     else:
         # coefficient m of the Polya tail reads hat_(m/l) with l >= 2 only,
         # so up to order 2 order it never reads a padded zero
@@ -207,51 +209,17 @@ def _eval_stratified(model: ModelId, n: int, order: int) -> _Grammar:
             # branch point of y = (e^y Pi - 1 + 2nz)/2: e^y Pi = 2 with y = 1/2 + nz
             return 2 - mp.exp(mp.mpf(1) / 2 + n_ * z + log_pi(z))
 
-        def lambert_e0(z):
-            # E_0 = -2 W(x) solves E_0 e^(-E_0/2) = e^(nz - 1/2) Pi; hat's
-            # lower branch is W's principal branch W_0
-            x = -mp.exp(n_ * z - mp.mpf(1) / 2 + log_pi(z)) / 2
-            branch = -mp.exp(-1)
-            if x > branch:
-                return -2 * mp.lambertw(x)
-            if x < branch * (1 + mp.eps * 2 ** 8):
-                raise NumericError("z beyond the branch point",
-                                   diagnostics={"z": float(z), "x": float(x)})
-            return mp.mpf(2)  # W_0(-1/e) = -1, up to rounding at z = rho
-
         def value_at(rho):
             return mp.mpf(1) / 2 + n_ * rho
 
         closed = None
 
-    def parts(z, e0, u):
-        # g, st and their log-slopes in hat: d log E_k/d hat is E_k for SEQ
-        # (E_u = E^2) and 1 for MSET (E_u = E)
-        if model.plane:
-            e1, e2 = 1 / (u + z), 1 / (u + 2 * z)
-            return z * e0 * e1, z * z * e0 * (2 * e1 * e2), e0 + e1, e0 + e1 + e2
-        return z * e0, z * z * e0, 1, 1
+        def rates(rho):
+            # g = 2 rho and st = 2 rho^2 at E_0 = 2, with log-slopes 1 in hat
+            # (E_u = E), over dT/dhat = 2
+            return n_ * (rho * rho), rho
 
-    def values(z):
-        if model.plane:
-            hat = (1 + 2 * n_ * z - mp.sqrt(cond(z))) / 4
-            t, e0, u = 2 * hat - 2 * n_ * z, 1 / (1 - hat), 1 - hat
-        else:
-            e0, u = lambert_e0(z), None
-            t = e0 - 1
-        g, st, _, _ = parts(z, e0, u)
-        return {"T": t, "g": g, "st": st}
-
-    def rates(rho):
-        # E_0 at the branch point E_u = 2, and dT/dhat = 2
-        u = 1 / mp.sqrt(2) if model.plane else None
-        e0 = 1 / u if model.plane else mp.mpf(2)
-        g, st, dlog_g, dlog_st = parts(rho, e0, u)
-        return n_ * st * dlog_st / 2, g * dlog_g / 2
-
-    return _Grammar({name: (lambda z, name=name: values(z)[name])
-                     for name in ("T", "st", "g")},
-                    cond, mp.mpf(1) / (4 * n_), value_at, closed, rates)
+    return _Grammar(cond, mp.mpf(1) / (4 * n_), value_at, closed, rates)
 
 
 def _grammar(model: ModelId, n: int, order: int) -> _Grammar:

@@ -63,6 +63,15 @@ def test_series_coefficients_equal_counts(model, max_m):
             assert s.coeffs[m] == count_trees(model, m, n), (model, m, n)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_assoccomm_counts_equal_the_series_to_order_100(n):
+    # the multiset recurrence against the exact series, far past the sizes
+    # the frozen count digests reach
+    s = solve_model_series(ModelId.ASSOC_COMM, n, 100)
+    assert [count_trees(ModelId.ASSOC_COMM, m, n) for m in range(1, 101)] \
+        == s.coeffs[1:]
+
+
 def test_half_series_only_for_stratified():
     with pytest.raises(DomainError):
         solve_half_series(ModelId.CATALAN, 1)
