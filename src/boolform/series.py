@@ -19,7 +19,10 @@ its right-hand side does not read coefficient m of the unknown;
 coefficient, O(order^2) per solve, and `series_sanity` applies it to the
 solved series.  In exp(polya_sum(s)) - 1 - s the term s_m reaches
 coefficient m through both exp and the Polya sum and cancels; `_many`
-cancels it in closed form (`_exp_minus_linear`) instead of reading it.
+takes the multiset recurrence (Flajolet & Sedgewick, Analytic
+Combinatorics, I.2 and II.4) over divisor sums of s with that term
+cancelled, so that it never reads s_m, and on an integral s every
+division it makes is exact and stays in ints.
 """
 
 from __future__ import annotations
@@ -43,6 +46,15 @@ def _exact(c) -> Rational:
         return c
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def _quo(num, den) -> Rational:
+    """num / den, by integer division when both are ints and it is exact."""
+    if type(num) is int and type(den) is int:
+        q, r = divmod(num, den)
+        if not r:
+            return q
+    return _exact(Fraction(num, den))
 
 
 class PowerSeries:
@@ -122,10 +134,11 @@ class PowerSeries:
 
     def scale(self, factor) -> "PowerSeries":
         a, f = self, _exact(factor)
+        p, q = f.numerator, f.denominator
 
         def coeff(m):
             c = a._upto(m)[m]
-            return _exact(c * f) if c else 0
+            return _quo(c * p, q) if c else 0
         return PowerSeries._online(a.order, a.val, coeff)
 
     def inverse(self) -> "PowerSeries":
@@ -135,12 +148,12 @@ class PowerSeries:
             raise DomainError("inverse needs nonzero constant term")
         out = PowerSeries._online(a.order, 0, None)
         q = out._c
-        q.append(_exact(Fraction(1, a0)))
+        q.append(_quo(1, a0))
 
         def coeff(m):
             # a_0 q_m = -(a_1 q_{m-1} + ... + a_m q_0)
             x = a._upto(m)
-            return _exact(Fraction(-sum(map(mul, x[1:m + 1], reversed(q))), a0))
+            return _quo(-sum(map(mul, x[1:m + 1], reversed(q))), a0)
         out._next = coeff
         return out
 
@@ -193,23 +206,31 @@ def _exp_minus_linear(u: PowerSeries) -> PowerSeries:
         for j in range(len(e), m):
             ku.append(_exact(j * x[j]))
             e.append(_exact(x[j] + y[j]))
-        return _exact(Fraction(sum(map(mul, ku[1:], reversed(e[1:]))), m))
+        return _quo(sum(map(mul, ku[1:], reversed(e[1:]))), m)
     out._next = coeff
     return out
+
+
+def _divisor_sums(s: PowerSeries) -> PowerSeries:
+    """D with D_m = sum over d | m, d < m of d s_d.
+
+    Coefficient m reads s_1..s_{m/2}, never s_0 or s_m.
+    """
+    def coeff(m):
+        x = s._upto(m // 2)
+        return sum(d * x[d] for d in range(1, m // 2 + 1) if m % d == 0)
+    return PowerSeries._online(s.order, 2 * max(s.val, 1), coeff)
 
 
 def _polya_tail(s: PowerSeries) -> PowerSeries:
     """Sum over i >= 2 of s(z^i)/i, that is polya_sum(s) - s.
 
-    Coefficient m reads s_{m/i} for the divisors i >= 2 of m, never s_m.
+    s(z^i)/i has z^m term s_d/i where m = d i, so coefficient m is D_m/m
+    with D the divisor sums of s; it reads s_d for d | m, d < m only.
     """
-    subs = [None, None] + [s.substitute_power(i) for i in range(2, s.order + 1)]
-
-    def coeff(m):
-        # s(z^i) has no z^m term unless i divides m
-        return _exact(sum(Fraction(subs[i]._upto(m)[m], i)
-                          for i in range(2, m + 1) if m % i == 0))
-    return PowerSeries._online(s.order, 2 * s.val, coeff)
+    d = _divisor_sums(s)
+    return PowerSeries._online(s.order, d.val,
+                               lambda m: _quo(d._upto(m)[m], m))
 
 
 def polya_sum(s: PowerSeries) -> PowerSeries:
@@ -271,15 +292,32 @@ def _pairs(model: ModelId, s: PowerSeries) -> PowerSeries:
 def _many(model: ModelId, s: PowerSeries) -> PowerSeries:
     """Sequences (plane) or multisets (non-plane) of >= 2 s-structures.
 
-    SEQ is s^2/(1 - s).  MSET is exp(polya_sum(s)) - 1 - s, written as
-    exp(u) - 1 - u plus the Polya tail u - s, u = polya_sum(s), so that
-    coefficient m reads no s_m.
+    SEQ is s^2/(1 - s).  MSET is E - 1 - s with E = exp(polya_sum(s)).
+    E' = P'E for P = polya_sum(s) gives m E_m = sum_{k=1..m} c_k E_{m-k},
+    c_k = k P_k = k s_k + D_k with D the divisor sums of s.  The k = m term
+    is m s_m + D_m, so coefficient m of E - 1 - s is
+    (sum_{k=1..m-1} c_k E_{m-k} + D_m)/m, with E_j = s_j + (this series)_j
+    for j >= 1: it reads s_1..s_{m-1} only, and for an integral s every
+    quotient by m is exact.
     """
     if model.plane:
         one = PowerSeries.monomial(1, 0, s.order)
         return (s * s) * (one - s).inverse()
-    tail = _polya_tail(s)
-    return _exp_minus_linear(s + tail) + tail
+    if s[0] != 0:
+        raise DomainError("multisets need a zero constant term")
+    d = _divisor_sums(s)
+    out = PowerSeries._online(s.order, d.val, None)
+    y = out._c
+    c, e = [0], [1]  # c_k and E_k for k < m
+
+    def coeff(m):
+        x, dx = s._upto(m - 1), d._upto(m)
+        for j in range(len(e), m):
+            c.append(_exact(j * x[j] + dx[j]))
+            e.append(_exact(x[j] + y[j]))
+        return _quo(sum(map(mul, c[1:], reversed(e[1:]))) + dx[m], m)
+    out._next = coeff
+    return out
 
 
 def _base_rhs(model: ModelId, n: int):

@@ -3,6 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from boolform import series
 from boolform.errors import DomainError
@@ -49,6 +50,52 @@ def test_polya_sum_first_terms():
     # z + z^2/2 + z^3/3 + z^4/4
     assert p.coeffs == [Fraction(0), Fraction(1), Fraction(1, 2),
                         Fraction(1, 3), Fraction(1, 4)]
+
+
+def test_quotients_that_are_not_integral_stay_fractions():
+    inv = PowerSeries([2, -1, 0, 0]).inverse().coeffs
+    assert inv == [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8),
+                   Fraction(1, 16)]
+    assert all(type(c) is Fraction for c in inv)
+    half = PowerSeries([0, 2, 3]).scale(Fraction(1, 2)).coeffs
+    assert half == [0, 1, Fraction(3, 2)]
+    assert type(half[1]) is int and type(half[2]) is Fraction
+
+
+def _polya_tail_by_definition(s):
+    # sum over i >= 2 of s(z^i)/i, one substituted series per i
+    out = PowerSeries.zero(s.order)
+    for i in range(2, s.order + 1):
+        out = out + s.substitute_power(i).scale(Fraction(1, i))
+    return out
+
+
+@st.composite
+def _series_without_constant(draw):
+    # s_0 = 0 and val 1..3; the first nonzero entry may be negative
+    val = draw(st.integers(1, 3))
+    head = draw(st.integers(-4, 4).filter(bool))
+    rest = draw(st.lists(st.integers(-4, 4), max_size=9))
+    return PowerSeries([0] * val + [head] + rest)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_series_without_constant())
+@example(PowerSeries([0, Fraction(1, 2), Fraction(-2, 3), 0, Fraction(5, 4),
+                     1, Fraction(1, 6)]))
+def test_multisets_and_polya_tail_match_their_definitions(s):
+    one = PowerSeries.monomial(1, 0, s.order)
+    many = series._many(ModelId.ASSOC_COMM, s)
+    assert many == polya_sum(s).exp() - one - s
+    tail = series._polya_tail(s)
+    assert tail == _polya_tail_by_definition(s)
+    for c in many.coeffs + tail.coeffs:
+        assert type(c) is int or c.denominator != 1, c
+
+
+def test_multisets_need_a_zero_constant_term():
+    with pytest.raises(DomainError):
+        series._many(ModelId.ASSOC_COMM, PowerSeries([1, 1, 0, 0]))
 
 
 @pytest.mark.parametrize("model,max_m", [
@@ -344,3 +391,27 @@ def test_integral_coefficients_are_ints(model):
     for kind in (kind for m, kind in PINNED_SERIES if m is model):
         s = _solve_kind(model, kind, 3, 32)
         assert all(type(c) is int for c in s.coeffs), kind
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_integral_series_make_no_fraction_per_coefficient(model, monkeypatch):
+    # the series of a full solve at n = 3 (base, every aux kind and
+    # series_sanity) are integral, so the Fractions made on the way are a
+    # few constants, the same at every order
+    new, made = Fraction.__new__, []
+
+    def counting(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+    counts = []
+    for order in (32, 64):
+        series._solve_base.cache_clear()
+        series._aux_series.cache_clear()
+        made.clear()
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        for kind in (kind for m, kind in PINNED_SERIES if m is model):
+            _solve_kind(model, kind, 3, order).coeffs
+        series_sanity(model, 3, order)
+        monkeypatch.undo()
+        counts.append(len(made))
+    assert counts[0] == counts[1], counts
